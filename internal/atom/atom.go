@@ -74,8 +74,8 @@ const (
 	post
 )
 
-// Checker is the streaming atomicity analysis; it implements sched.Observer
-// and sched.BatchObserver.
+// Checker is the streaming atomicity analysis; it implements
+// sched.Observer.
 type Checker struct {
 	opts Options
 	cls  *movers.Classifier
@@ -217,7 +217,7 @@ func (c *Checker) Event(e trace.Event) {
 func (c *Checker) FlightName() string { return "atomizer" }
 
 // ObserveBatch processes one batch of events in trace order; it implements
-// sched.BatchObserver (the fused pipeline's amortized-dispatch path).
+// sched.Observer.
 //
 // With empty race knowledge (allBoth) an access classifies Both, and Event
 // reduces to the event count for it: Both is a no-op in the phase switch

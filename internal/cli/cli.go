@@ -24,7 +24,7 @@ var (
 	mBatteryCancelled = obs.Default.Counter("explore.cancelled")
 	mBatteryDeadline  = obs.Default.Counter("explore.deadline")
 	mBatteryBudget    = obs.Default.Counter("explore.budget.exhausted")
-	mBatteryTimer     = obs.Default.Timer("battery")
+	mBattery          = flight.NewMeter(flight.CatCLI, "battery", "battery")
 )
 
 // ParseStrategy builds a scheduling strategy from tool flags:
@@ -73,17 +73,14 @@ func BatteryBudget(bud sched.Budget, name string, seeds, threads, size int) ([]*
 	}
 	tr := sched.StartBudget(bud)
 	defer tr.Stop()
-	sp := mBatteryTimer.Start()
-	defer sp.Stop()
 	status := sched.StatusComplete
 	var ftrack *flight.Track
-	var batSpan flight.Span
 	if fr := flight.Active(); fr != nil {
 		ftrack = fr.Track("battery")
-		batSpan = ftrack.Begin(flight.CatCLI, "battery", 0,
-			flight.A("seeds", int64(seeds)), flight.A("strategies", int64(len(strategies))))
-		defer func() { batSpan.EndStr(string(status)) }()
 	}
+	batSpan := mBattery.Begin(ftrack, 0,
+		flight.A("seeds", int64(seeds)), flight.A("strategies", int64(len(strategies))))
+	defer func() { batSpan.EndStr(string(status)) }()
 	var traces []*trace.Trace
 	var results []*sched.Result
 	for _, strat := range strategies {

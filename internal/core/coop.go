@@ -224,7 +224,7 @@ func (c *Checker) HintEvents(n int) {
 func (c *Checker) FlightName() string { return "coop" }
 
 // ObserveBatch processes one batch of events in trace order; it implements
-// sched.BatchObserver (the fused pipeline's amortized-dispatch path).
+// sched.Observer.
 //
 // When the racy set is known empty (allBoth) an access that carries no
 // inferred-yield annotation classifies Both, and Event reduces to counters

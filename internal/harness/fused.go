@@ -5,7 +5,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lockset"
 	"repro/internal/movers"
-	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/race"
 	"repro/internal/sched"
@@ -13,10 +12,11 @@ import (
 	"repro/internal/velodrome"
 )
 
-// Fused-pass timing, pre-resolved per the hot-path rule.
+// Fused-pass spans, counted into harness.fused.pass{1,2}.{count,ns} on
+// every run and recorded when the flight recorder is on.
 var (
-	mFusedPass1 = obs.Default.Timer("harness.fused.pass1")
-	mFusedPass2 = obs.Default.Timer("harness.fused.pass2")
+	mFusedPass1 = flight.NewMeter(flight.CatHarness, "fused-pass1", "harness.fused.pass1")
+	mFusedPass2 = flight.NewMeter(flight.CatHarness, "fused-pass2", "harness.fused.pass2")
 )
 
 // FusedRunner runs every Table 3 checker over a recorded trace in two
@@ -74,31 +74,21 @@ func (f FusedRunner) Analyze(tr *trace.Trace) *FusedAnalysis {
 	d := race.New()
 	ls := lockset.New()
 	vc := velodrome.New(velodrome.Options{MethodsAtomic: true})
-	sp1 := mFusedPass1.Start()
-	var fs1 flight.Span
-	if ftr != nil {
-		fs1 = ftr.Begin(flight.CatHarness, "fused-pass1", 0, flight.A("events", int64(tr.Len())))
-	}
+	sp1 := mFusedPass1.Begin(ftr, 0, flight.A("events", int64(tr.Len())))
 	sched.FeedTrace(tr, f.BatchSize, d, ls, vc)
 	vios := vc.Violations()
 	d.FlushMetrics()
 	ls.FlushMetrics()
 	vc.FlushMetrics(len(vios))
-	fs1.End()
-	sp1.Stop()
+	sp1.End()
 
 	known := d.RacyVarSet()
 	ac := atom.New(atom.Options{MethodsAtomic: true, RaceOnsets: d.RaceOnsets()})
 	coop := core.New(core.Options{Policy: movers.DefaultPolicy(), KnownRaces: known})
-	sp2 := mFusedPass2.Start()
-	var fs2 flight.Span
-	if ftr != nil {
-		fs2 = ftr.Begin(flight.CatHarness, "fused-pass2", 0, flight.A("events", int64(tr.Len())))
-	}
+	sp2 := mFusedPass2.Begin(ftr, 0, flight.A("events", int64(tr.Len())))
 	sched.FeedTrace(tr, f.BatchSize, ac, coop)
 	coop.FlushMetrics()
-	fs2.End()
-	sp2.Stop()
+	sp2.End()
 
 	return &FusedAnalysis{
 		Race:           d,

@@ -267,3 +267,11 @@ func Analyze(tr *trace.Trace) *Analyzer {
 	}
 	return a
 }
+
+// ObserveBatch processes one batch of events in trace order; it
+// implements sched.Observer.
+func (a *Analyzer) ObserveBatch(batch []trace.Event) {
+	for i := range batch {
+		a.Event(batch[i])
+	}
+}

@@ -215,7 +215,7 @@ func (c *Checker) Event(e trace.Event) {
 func (c *Checker) FlightName() string { return "eraser" }
 
 // ObserveBatch processes one batch of events in trace order; it implements
-// sched.BatchObserver (the fused pipeline's amortized-dispatch path).
+// sched.Observer.
 //
 // The Exclusive self-transition — a thread re-accessing a variable it
 // already owns, the steady state of thread-local data — touches nothing but

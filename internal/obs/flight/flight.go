@@ -404,3 +404,58 @@ func (s Span) EndStr(str string, args ...Arg) {
 	e.setArgs(args)
 	s.t.Emit(e)
 }
+
+// Meter is a span site that is measured whether or not a recording is on:
+// every span begun through it adds one to <metric>.count and its wall time
+// to <metric>.ns in obs.Default, and is recorded as a flight span when it
+// is begun on a track. One call site yields both the always-on metric and
+// the span; with the recorder off the track is nil and the span costs two
+// clock reads and two atomic adds.
+type Meter struct {
+	cat   Cat
+	name  string
+	count *obs.Counter
+	ns    *obs.Counter
+}
+
+// NewMeter returns the meter for spans named name in category cat,
+// counting into <metric>.count and <metric>.ns. Resolve it once, at
+// package level (the hot-path rule).
+func NewMeter(cat Cat, name, metric string) *Meter {
+	return &Meter{
+		cat:   cat,
+		name:  name,
+		count: obs.Default.Counter(metric + ".count"),
+		ns:    obs.Default.Counter(metric + ".ns"),
+	}
+}
+
+// Begin opens a metered span on t; a nil t (recorder off) still counts.
+func (m *Meter) Begin(t *Track, parent SpanID, args ...Arg) MeteredSpan {
+	return MeteredSpan{Span: t.Begin(m.cat, m.name, parent, args...), m: m, t0: time.Now()}
+}
+
+// MeteredSpan is a Span begun through a Meter; ending it also counts it.
+type MeteredSpan struct {
+	Span
+	m  *Meter
+	t0 time.Time
+}
+
+// End closes the span like Span.End and adds it to the meter's counters.
+func (s MeteredSpan) End(args ...Arg) {
+	s.count()
+	s.Span.End(args...)
+}
+
+// EndStr closes the span like Span.EndStr and adds it to the meter's
+// counters.
+func (s MeteredSpan) EndStr(str string, args ...Arg) {
+	s.count()
+	s.Span.EndStr(str, args...)
+}
+
+func (s MeteredSpan) count() {
+	s.m.count.Inc()
+	s.m.ns.Add(int64(time.Since(s.t0)))
+}

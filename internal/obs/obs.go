@@ -1,8 +1,8 @@
 // Package obs is the reproduction's zero-dependency, allocation-lean
 // metrics layer: atomic counters, gauges, and fixed-bucket histograms in a
-// named registry, plus a lightweight span timer, a deterministic run-report
-// snapshot (snapshot.go), a live HTTP endpoint (http.go), and a periodic
-// progress reporter (progress.go).
+// named registry, plus a deterministic run-report snapshot (snapshot.go), a
+// live HTTP endpoint (http.go), and a periodic progress reporter
+// (progress.go); timed phases are flight.Meter spans counting into it.
 //
 // Design rules (DESIGN.md, "Observability"):
 //

@@ -97,7 +97,7 @@ func volKey(id uint64) uint64  { return id<<2 | 1 }
 func chanKey(id uint64) uint64 { return id<<2 | 2 }
 
 // Detector is a streaming FastTrack race detector. Feed it every event of a
-// trace in order via Event; it implements sched.Observer.
+// trace in order via ObserveBatch (or Event); it implements sched.Observer.
 // The zero value is not usable; call New or NewSized.
 type Detector struct {
 	// threads[t] is thread t's clock, nil until the thread is observed.
@@ -407,9 +407,9 @@ func (d *Detector) report(r Race) {
 func (d *Detector) FlightName() string { return "fasttrack" }
 
 // ObserveBatch processes one batch of events in trace order; it implements
-// sched.BatchObserver. The loop body is a direct (devirtualized) call, so
-// the per-event interface dispatch of the legacy path is paid once per
-// batch, and the detector's paged state stays cache-resident across it.
+// sched.Observer. The loop body is a direct (devirtualized) call, so the
+// interface dispatch is paid once per batch, and the detector's paged
+// state stays cache-resident across it.
 //
 // FastTrack's same-epoch rule — a repeat access by the last accessor with
 // no intervening release — needs no checks at all, so it retires inline on

@@ -13,42 +13,10 @@ import (
 // analysis's working set stays cache-resident.
 const DefaultBatchSize = 4096
 
-// BatchObserver consumes instrumented events in batches instead of one
-// virtual call per event. The runtime (and FeedTrace) delivers every event
-// exactly once, in trace order, as a sequence of contiguous batches; the
-// final batch of a run may be shorter, and on an aborted run it ends at the
-// last event the legacy per-event path would have delivered.
-//
-// The batch slice is owned by the caller and reused (or aliases a recorded
-// trace); observers must consume it synchronously and must not retain it
-// past the call.
-//
-// Observers that implement both Observer and BatchObserver are fed through
-// ObserveBatch only — the per-event Event path stays as the compatibility
-// adapter for cold observers (e.g. CountObserver) that do not batch.
-type BatchObserver interface {
-	ObserveBatch(batch []trace.Event)
-}
-
-// splitObservers partitions a run's observers into the batched hot path and
-// the per-event compatibility path, preserving registration order within
-// each group.
-func splitObservers(observers []Observer) (batched []BatchObserver, perEvent []Observer) {
-	for _, o := range observers {
-		if bo, ok := o.(BatchObserver); ok {
-			batched = append(batched, bo)
-		} else {
-			perEvent = append(perEvent, o)
-		}
-	}
-	return batched, perEvent
-}
-
 // FeedTrace streams a recorded trace through observers exactly once:
 // each observer first receives the trace's string table (StringsAware) and
-// an exact event-count hint (EventsHinted), then the events — batched
-// slices of the trace for BatchObservers (zero-copy; batchSize <= 0 means
-// DefaultBatchSize), one virtual call per event for plain Observers.
+// an exact event-count hint (EventsHinted), then the events as zero-copy
+// slices of the trace (batchSize <= 0 means DefaultBatchSize).
 //
 // This is the offline half of the fused pipeline: one pass over the decoded
 // trace fans out to any number of analyses, so N checkers cost one trace
@@ -65,18 +33,17 @@ func FeedTrace(tr *trace.Trace, batchSize int, observers ...Observer) {
 			eh.HintEvents(tr.Len())
 		}
 	}
-	batched, perEvent := splitObservers(observers)
 	// When the flight recorder is on, each ObserveBatch gets its own span
 	// named after the checker (FlightNamed) on an acquired lane — FeedTrace
 	// runs concurrently from pool workers, so lanes cannot be shared.
 	var ftrack *flight.Track
 	var names []string
-	if fr := flight.Active(); fr != nil && len(batched) > 0 {
+	if fr := flight.Active(); fr != nil && len(observers) > 0 {
 		ftrack = fr.Acquire("checkers")
 		defer fr.Release(ftrack)
-		names = make([]string, len(batched))
-		for i, bo := range batched {
-			if fn, ok := bo.(FlightNamed); ok {
+		names = make([]string, len(observers))
+		for i, o := range observers {
+			if fn, ok := o.(FlightNamed); ok {
 				names[i] = fn.FlightName()
 			} else {
 				names[i] = fmt.Sprintf("observer-%d", i)
@@ -89,19 +56,14 @@ func FeedTrace(tr *trace.Trace, batchSize int, observers ...Observer) {
 		if end > len(events) {
 			end = len(events)
 		}
-		for i, bo := range batched {
+		for i, o := range observers {
 			if ftrack != nil {
 				s := ftrack.Begin(flight.CatChecker, names[i], 0, flight.A("events", int64(end-start)))
-				bo.ObserveBatch(events[start:end])
+				o.ObserveBatch(events[start:end])
 				s.End()
 				continue
 			}
-			bo.ObserveBatch(events[start:end])
-		}
-	}
-	for _, o := range perEvent {
-		for i := range events {
-			o.Event(events[i])
+			o.ObserveBatch(events[start:end])
 		}
 	}
 }

@@ -7,20 +7,17 @@ import (
 	"repro/internal/trace"
 )
 
-// batchRecorder implements both Observer and BatchObserver plus the
-// StringsAware/EventsHinted hooks, recording everything it sees so tests
-// can assert the batched path's delivery contract.
+// batchRecorder implements Observer plus the StringsAware/EventsHinted
+// hooks, recording everything it sees so tests can assert the delivery
+// contract.
 type batchRecorder struct {
 	events     []trace.Event
 	batchSizes []int
-	eventCalls int   // per-event Event() calls (must stay 0: batched wins)
 	hints      []int // HintEvents values received
 	hintLate   bool  // a hint arrived after the first batch
 	strings    *trace.Strings
 	panicAt    int // panic when this many events have been seen (0 = never)
 }
-
-func (r *batchRecorder) Event(e trace.Event) { r.eventCalls++ }
 
 func (r *batchRecorder) ObserveBatch(batch []trace.Event) {
 	r.batchSizes = append(r.batchSizes, len(batch))
@@ -40,14 +37,6 @@ func (r *batchRecorder) HintEvents(n int) {
 
 func (r *batchRecorder) SetStrings(s *trace.Strings) { r.strings = s }
 
-// perEventRecorder is a plain Observer with no batch path — the
-// compatibility adapter case.
-type perEventRecorder struct {
-	events []trace.Event
-}
-
-func (r *perEventRecorder) Event(e trace.Event) { r.events = append(r.events, e) }
-
 func sameEvents(t *testing.T, got, want []trace.Event, label string) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -60,27 +49,31 @@ func sameEvents(t *testing.T, got, want []trace.Event, label string) {
 	}
 }
 
-// TestBatchDeliveryMatchesPerEvent is the core contract: a batch observer
-// sees exactly the events a per-event observer sees, in the same order,
-// split across full batches plus a shorter final one — and its per-event
-// Event method is never invoked.
+// TestBatchDeliveryMatchesPerEvent is the core contract: an observer sees
+// exactly the recorded trace, in order, split across full batches plus a
+// shorter final one — and batches of one (per-event delivery) see the
+// identical sequence as the default size.
 func TestBatchDeliveryMatchesPerEvent(t *testing.T) {
-	p := counterProgram(4, 25, true)
-	br := &batchRecorder{}
-	pr := &perEventRecorder{}
-	res, err := Run(p, Options{
-		Strategy:    &RoundRobin{Quantum: 3},
-		RecordTrace: true,
-		BatchSize:   8,
-		Observers:   []Observer{br, pr},
-	})
-	if err != nil {
-		t.Fatal(err)
+	run := func(size int) (*Result, *batchRecorder) {
+		br := &batchRecorder{}
+		res, err := Run(counterProgram(4, 25, true), Options{
+			Strategy:    &RoundRobin{Quantum: 3},
+			RecordTrace: true,
+			BatchSize:   size,
+			Observers:   []Observer{br},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, br
 	}
+	res, br := run(8)
 	sameEvents(t, br.events, res.Trace.Events, "batched")
-	sameEvents(t, pr.events, res.Trace.Events, "per-event")
-	if br.eventCalls != 0 {
-		t.Fatalf("dual-interface observer got %d per-event calls; batched path must win", br.eventCalls)
+	one, perEvent := run(1)
+	sameEvents(t, perEvent.events, one.Trace.Events, "batches of one")
+	sameEvents(t, perEvent.events, br.events, "batches of one vs of eight")
+	if len(perEvent.batchSizes) != one.Events {
+		t.Fatalf("batch size 1 delivered %d batches for %d events", len(perEvent.batchSizes), one.Events)
 	}
 	if len(br.batchSizes) < 2 {
 		t.Fatalf("expected multiple batches at size 8 over %d events, got %v", res.Events, br.batchSizes)
@@ -117,19 +110,18 @@ func TestBatchFinalFlushPartial(t *testing.T) {
 	sameEvents(t, br.events, res.Trace.Events, "final flush")
 }
 
-// TestBatchAbortDeliversPrefix: when the run aborts (event budget), batch
+// TestBatchAbortDeliversPrefix: when the run aborts (event budget),
 // observers still receive exactly the events emitted before the abort —
-// the same prefix the trace and per-event observers hold.
+// the same prefix the trace holds.
 func TestBatchAbortDeliversPrefix(t *testing.T) {
 	p := counterProgram(4, 1000, false)
 	br := &batchRecorder{}
-	pr := &perEventRecorder{}
 	res, err := Run(p, Options{
 		Strategy:    &RoundRobin{Quantum: 1},
 		RecordTrace: true,
 		MaxEvents:   100,
 		BatchSize:   16,
-		Observers:   []Observer{br, pr},
+		Observers:   []Observer{br},
 	})
 	if err == nil {
 		t.Fatal("expected event-budget error")
@@ -138,7 +130,9 @@ func TestBatchAbortDeliversPrefix(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	sameEvents(t, br.events, res.Trace.Events, "batched prefix")
-	sameEvents(t, br.events, pr.events, "batched vs per-event prefix")
+	if len(br.events) != 100 {
+		t.Fatalf("observer saw %d events before the abort, want 100", len(br.events))
+	}
 }
 
 // TestBatchObserverPanicMidRun: a panic inside a full-buffer flush runs on
@@ -162,7 +156,8 @@ func TestBatchObserverPanicMidRun(t *testing.T) {
 
 // TestBatchObserverPanicFinalFlush: with a batch size larger than the run,
 // the panic fires in the end-of-run flush on the scheduler goroutine and
-// must come back as an error, not crash the process.
+// must come back as the same structured error a thread panic produces
+// (stack included), not crash the process.
 func TestBatchObserverPanicFinalFlush(t *testing.T) {
 	p := counterProgram(2, 5, true)
 	br := &batchRecorder{panicAt: 1}
@@ -176,10 +171,17 @@ func TestBatchObserverPanicFinalFlush(t *testing.T) {
 	if !strings.Contains(err.Error(), "final flush") || !strings.Contains(err.Error(), "injected failure") {
 		t.Fatalf("unexpected error: %v", err)
 	}
+	rp, ok := err.(*runPanic) //nolint:errorlint // Run returns it unwrapped
+	if !ok {
+		t.Fatalf("final-flush panic is %T, want *runPanic", err)
+	}
+	if !strings.Contains(string(rp.stack), "ObserveBatch") {
+		t.Fatalf("captured stack lacks the panicking observer:\n%s", rp.stack)
+	}
 }
 
-// TestBatchHintBeforeFirstBatch (satellite: EventsHint propagation): the
-// presize hint must reach batch observers before any events do.
+// TestBatchHintBeforeFirstBatch: the presize hint must reach observers
+// before any events do.
 func TestBatchHintBeforeFirstBatch(t *testing.T) {
 	p := counterProgram(4, 100, true)
 	br := &batchRecorder{}
@@ -193,7 +195,7 @@ func TestBatchHintBeforeFirstBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(br.hints) == 0 {
-		t.Fatal("batch observer never received EventsHint")
+		t.Fatal("observer never received EventsHint")
 	}
 	if br.hintLate {
 		t.Fatal("HintEvents arrived after the first batch")
@@ -207,8 +209,8 @@ func TestBatchHintBeforeFirstBatch(t *testing.T) {
 }
 
 // TestFeedTrace: the offline fan-out delivers a recorded trace once to
-// every observer — batched zero-copy slices for BatchObservers, per-event
-// calls for plain Observers — with strings and an exact hint up front.
+// every observer as zero-copy slices, with strings and an exact hint up
+// front.
 func TestFeedTrace(t *testing.T) {
 	p := counterProgram(3, 20, true)
 	res, err := Run(p, Options{Strategy: &RoundRobin{Quantum: 2}, RecordTrace: true})
@@ -216,14 +218,10 @@ func TestFeedTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := res.Trace
-	br := &batchRecorder{}
-	pr := &perEventRecorder{}
-	FeedTrace(tr, 7, br, pr)
-	sameEvents(t, br.events, tr.Events, "FeedTrace batched")
-	sameEvents(t, pr.events, tr.Events, "FeedTrace per-event")
-	if br.eventCalls != 0 {
-		t.Fatalf("dual-interface observer got %d per-event calls from FeedTrace", br.eventCalls)
-	}
+	br, other := &batchRecorder{}, &batchRecorder{}
+	FeedTrace(tr, 7, br, other)
+	sameEvents(t, br.events, tr.Events, "FeedTrace")
+	sameEvents(t, other.events, tr.Events, "FeedTrace second observer")
 	if br.hintLate || len(br.hints) == 0 || br.hints[0] != tr.Len() {
 		t.Fatalf("hints = %v (late=%v), want exact pre-batch hint %d", br.hints, br.hintLate, tr.Len())
 	}

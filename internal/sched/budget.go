@@ -94,18 +94,18 @@ func (e *ExploreError) Error() string {
 	return fmt.Sprintf("sched: panic replaying prefix %v: %v", e.Prefix, e.Panic)
 }
 
-// threadPanic is the structured error the runtime reports for a panic
-// recovered inside a virtual thread's goroutine; the explorers rewrap it
+// runPanic is the structured error the runtime reports for a panic it
+// recovered during a run — inside a virtual thread's goroutine, or in the
+// final observer flush on the scheduler goroutine; the explorers rewrap it
 // into an *ExploreError carrying the schedule prefix.
-type threadPanic struct {
-	tid   trace.TID
-	name  string
+type runPanic struct {
+	where string // "T1 (worker)", or the final flush
 	val   any
 	stack []byte
 }
 
-func (e *threadPanic) Error() string {
-	return fmt.Sprintf("sched: panic in T%d (%s): %v", e.tid, e.name, e.val)
+func (e *runPanic) Error() string {
+	return fmt.Sprintf("sched: panic in %s: %v", e.where, e.val)
 }
 
 // ContextStatus maps a context error to the Status it implies: nil →

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/obs/flight"
@@ -37,170 +36,116 @@ func ExploreDPOR(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 		return nil, fmt.Errorf("sched: ExploreOptions.Visit is required")
 	}
 	opts.RecordTrace = true // the conflict analysis below needs the trace
-	maxRuns := opts.MaxRuns
-	if maxRuns <= 0 {
-		maxRuns = 10000
-	}
-	bud := StartBudget(opts.Budget)
-	defer bud.Stop()
-	rep := &ExploreReport{Status: StatusComplete}
-	var ftrack *flight.Track
-	var exSpan flight.Span
-	if fr := flight.Active(); fr != nil {
-		ftrack = fr.Track("explore")
-		exSpan = ftrack.Begin(flight.CatSched, "explore-dpor", 0, flight.A("max_runs", int64(maxRuns)))
-		defer func() {
-			exSpan.EndStr(string(rep.Status),
-				flight.A("runs", int64(rep.Runs)), flight.A("states", rep.States))
-		}()
-	}
-	stack := [][]trace.TID{nil}
 	seen := map[string]bool{"": true}
-	for len(stack) > 0 {
-		if st := bud.Cutoff(); st != "" {
-			rep.Status = st
-			ftrack.Instant(flight.CatSched, "cutoff", string(st), flight.A("runs", int64(rep.Runs)))
-			break
-		}
-		if rep.Runs >= maxRuns {
-			rep.Status = StatusBudget
-			ftrack.Instant(flight.CatSched, "budget", string(StatusBudget), flight.A("runs", int64(rep.Runs)))
-			break
-		}
-		prefix := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-
-		var runSpan flight.Span
-		if ftrack != nil {
-			runSpan = ftrack.Begin(flight.CatSched, "schedule", exSpan.ID(), flight.A("depth", int64(len(prefix))))
-		}
-		res, points, err := replayPrefix(p, &opts, bud.RunContext(), prefix)
-		if ftrack != nil {
-			EndRunSpan(runSpan, res, err)
-		}
-		if errors.Is(err, ErrCancelled) {
-			rep.Status = bud.CancelStatus()
-			rep.Abandoned++
-			break
-		}
-		rep.Runs++
-		if res != nil {
-			rep.States += int64(res.Events)
-			bud.AddStates(int64(res.Events))
-		}
-		if _, ok := err.(*ExploreError); ok { //nolint:errorlint // replayPrefix returns it unwrapped
-			rep.Panics++
-			ftrack.Instant(flight.CatSched, "panic", string(rep.Status), flight.A("run", int64(rep.Runs)))
-		}
-		if !opts.Visit(res, err) {
-			rep.Abandoned += len(stack)
-			return finishReport(rep), nil
-		}
-		if res == nil || res.Trace == nil {
-			continue
-		}
-		tr := res.Trace
-
-		// decisionOf[e] = index of the choice point that scheduled event e
-		// (the last thread-pick point whose EventIdx equals e). Select
-		// decisions are skipped: their "runnable" sets hold case indices,
-		// not tids, so a thread flip must target the pick that scheduled
-		// the selecting thread, not the case decision stacked on top of it.
-		decisionOf := make([]int, len(tr.Events))
-		for i := range decisionOf {
-			decisionOf[i] = -1
-		}
-		for pi, pt := range points {
-			if !pt.Select && pt.EventIdx < len(decisionOf) {
-				decisionOf[pt.EventIdx] = pi
-			}
-		}
-		// Running preemption counts, shared by every flip considered below
-		// (recounting per pair was quadratic in trace depth).
-		pre := preemptionPrefix(points)
-		pushed := 0
-
-		// For each event j, consider the latest earlier conflicting events
-		// of each other thread: reversing such a pair is the only
-		// reordering that can change behaviour locally. Two predecessors
-		// per thread are considered, not one: a blocked lock acquisition
-		// leaves no event, so the schedule where T1 takes a lock *before*
-		// T0's critical section is reachable only by flipping at T0's
-		// acquire, which hides behind T0's release in the observed trace.
-		for j := range tr.Events {
-			ej := tr.Events[j]
-			seenTid := map[trace.TID]int{}
-			for i := j - 1; i >= 0; i-- {
-				ei := tr.Events[i]
-				if ei.Tid == ej.Tid || seenTid[ei.Tid] >= 2 {
-					continue
-				}
-				if !conflictsDPOR(ei, ej) {
-					continue
-				}
-				seenTid[ei.Tid]++
-				dp := decisionOf[i]
-				if dp < 0 || dp < len(prefix) {
-					continue // decision frozen by the current prefix
-				}
-				pt := points[dp]
-				if !containsTID(pt.Runnable, ej.Tid) || ej.Tid == pt.Chosen {
-					continue
-				}
-				// Preemption budget: the flip costs one if the previously
-				// running thread was still runnable.
-				cost := 0
-				if pt.Current >= 0 && containsTID(pt.Runnable, pt.Current) && ej.Tid != pt.Current {
-					cost = 1
-				}
-				if pre[dp]+cost > opts.MaxPreemptions {
-					continue
-				}
-				np := make([]trace.TID, dp+1)
-				for k := 0; k < dp; k++ {
-					np[k] = points[k].Chosen
-				}
-				np[dp] = ej.Tid
-				key := prefixKey(np)
-				if !seen[key] {
-					seen[key] = true
-					stack = append(stack, np)
-					pushed++
-				}
-			}
-		}
-		// Select nondeterminism is enumerated exhaustively — no reduction
-		// is attempted over select commits, since the dependence relation
-		// already treats a select as conflicting with every channel op.
-		// Every alternative ready case of every unfrozen select decision is
-		// pushed; a select branch never costs a preemption (Current is -1).
-		for pi := len(points) - 1; pi >= len(prefix); pi-- {
-			pt := points[pi]
-			if !pt.Select || len(pt.Runnable) < 2 {
-				continue
-			}
-			for _, alt := range pt.Runnable {
-				if alt == pt.Chosen {
-					continue
-				}
-				np := make([]trace.TID, pi+1)
-				for k := 0; k < pi; k++ {
-					np[k] = points[k].Chosen
-				}
-				np[pi] = alt
+	return exploreDFS(p, &opts, "explore-dpor",
+		func(prefix []trace.TID, res *Result, points []ChoicePoint, push func([]trace.TID), ftrack *flight.Track) {
+			pushed := 0
+			expandDPOR(res, prefix, points, opts.MaxPreemptions, func(np []trace.TID) {
 				if key := prefixKey(np); !seen[key] {
 					seen[key] = true
-					stack = append(stack, np)
+					push(np)
 					pushed++
 				}
+			})
+			if ftrack != nil && pushed > 0 {
+				ftrack.Instant(flight.CatSched, "backtrack", "", flight.A("pushed", int64(pushed)))
 			}
-		}
-		if ftrack != nil && pushed > 0 {
-			ftrack.Instant(flight.CatSched, "backtrack", "", flight.A("pushed", int64(pushed)))
+		})
+}
+
+// expandDPOR offers push the backtracking prefixes of one run: a flip at
+// each unfrozen decision point where a cross-thread conflict justifies one,
+// then every alternative case of every unfrozen select decision.
+func expandDPOR(res *Result, prefix []trace.TID, points []ChoicePoint, maxPreemptions int, push func([]trace.TID)) {
+	if res == nil || res.Trace == nil {
+		return
+	}
+	tr := res.Trace
+
+	// decisionOf[e] = index of the choice point that scheduled event e
+	// (the last thread-pick point whose EventIdx equals e). Select
+	// decisions are skipped: their "runnable" sets hold case indices,
+	// not tids, so a thread flip must target the pick that scheduled
+	// the selecting thread, not the case decision stacked on top of it.
+	decisionOf := make([]int, len(tr.Events))
+	for i := range decisionOf {
+		decisionOf[i] = -1
+	}
+	for pi, pt := range points {
+		if !pt.Select && pt.EventIdx < len(decisionOf) {
+			decisionOf[pt.EventIdx] = pi
 		}
 	}
-	rep.Abandoned += len(stack)
-	return finishReport(rep), nil
+	// Running preemption counts, shared by every flip considered below
+	// (recounting per pair was quadratic in trace depth).
+	pre := preemptionPrefix(points)
+
+	// For each event j, consider the latest earlier conflicting events
+	// of each other thread: reversing such a pair is the only
+	// reordering that can change behaviour locally. Two predecessors
+	// per thread are considered, not one: a blocked lock acquisition
+	// leaves no event, so the schedule where T1 takes a lock *before*
+	// T0's critical section is reachable only by flipping at T0's
+	// acquire, which hides behind T0's release in the observed trace.
+	for j := range tr.Events {
+		ej := tr.Events[j]
+		seenTid := map[trace.TID]int{}
+		for i := j - 1; i >= 0; i-- {
+			ei := tr.Events[i]
+			if ei.Tid == ej.Tid || seenTid[ei.Tid] >= 2 {
+				continue
+			}
+			if !conflictsDPOR(ei, ej) {
+				continue
+			}
+			seenTid[ei.Tid]++
+			dp := decisionOf[i]
+			if dp < 0 || dp < len(prefix) {
+				continue // decision frozen by the current prefix
+			}
+			pt := points[dp]
+			if !containsTID(pt.Runnable, ej.Tid) || ej.Tid == pt.Chosen {
+				continue
+			}
+			// Preemption budget: the flip costs one if the previously
+			// running thread was still runnable.
+			cost := 0
+			if pt.Current >= 0 && containsTID(pt.Runnable, pt.Current) && ej.Tid != pt.Current {
+				cost = 1
+			}
+			if pre[dp]+cost > maxPreemptions {
+				continue
+			}
+			np := make([]trace.TID, dp+1)
+			for k := 0; k < dp; k++ {
+				np[k] = points[k].Chosen
+			}
+			np[dp] = ej.Tid
+			push(np)
+		}
+	}
+	// Select nondeterminism is enumerated exhaustively — no reduction
+	// is attempted over select commits, since the dependence relation
+	// already treats a select as conflicting with every channel op.
+	// Every alternative ready case of every unfrozen select decision is
+	// pushed; a select branch never costs a preemption (Current is -1).
+	for pi := len(points) - 1; pi >= len(prefix); pi-- {
+		pt := points[pi]
+		if !pt.Select || len(pt.Runnable) < 2 {
+			continue
+		}
+		for _, alt := range pt.Runnable {
+			if alt == pt.Chosen {
+				continue
+			}
+			np := make([]trace.TID, pi+1)
+			for k := 0; k < pi; k++ {
+				np[k] = points[k].Chosen
+			}
+			np[pi] = alt
+			push(np)
+		}
+	}
 }
 
 func prefixKey(p []trace.TID) string {

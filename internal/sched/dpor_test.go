@@ -243,3 +243,36 @@ func BenchmarkExploreDPORTiny(b *testing.B) {
 		}
 	}
 }
+
+// TestExploreMetricsMatchReport: both explorers run through one loop, so
+// each reports its runs and states to explore.runs / explore.states —
+// deltas equal to the returned report — and publishes its run cap.
+func TestExploreMetricsMatchReport(t *testing.T) {
+	for _, ex := range []struct {
+		name    string
+		explore func(*Program, ExploreOptions) (*ExploreReport, error)
+	}{{"explore", Explore}, {"dpor", ExploreDPOR}} {
+		runs0, states0 := mExploreRuns.Load(), mExploreStates.Load()
+		maxRuns := 700 + len(ex.name) // distinct per explorer
+		rep, err := ex.explore(counterProgram(3, 1, false), ExploreOptions{
+			MaxRuns:        maxRuns,
+			MaxPreemptions: 2,
+			Visit:          func(*Result, error) bool { return true },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Runs < 2 {
+			t.Fatalf("%s: %d runs; the fixture should branch", ex.name, rep.Runs)
+		}
+		if d := mExploreRuns.Load() - runs0; d != int64(rep.Runs) {
+			t.Errorf("%s: explore.runs delta %d, report Runs %d", ex.name, d, rep.Runs)
+		}
+		if d := mExploreStates.Load() - states0; d != rep.States {
+			t.Errorf("%s: explore.states delta %d, report States %d", ex.name, d, rep.States)
+		}
+		if got := mExploreMaxRuns.Load(); got != int64(maxRuns) {
+			t.Errorf("%s: explore.max_runs = %d, want %d", ex.name, got, maxRuns)
+		}
+	}
+}

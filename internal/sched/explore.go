@@ -62,6 +62,24 @@ func Explore(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 	if opts.Parallel > 1 {
 		return exploreParallel(p, opts)
 	}
+	return exploreDFS(p, &opts, "explore",
+		func(prefix []trace.TID, _ *Result, points []ChoicePoint, push func([]trace.TID), _ *flight.Track) {
+			expandPrefixes(points, len(prefix), opts.MaxPreemptions, push)
+		})
+}
+
+// expandFunc pushes the forced-decision prefixes to visit after one run:
+// prefix is the prefix the run replayed, res and points its result and
+// choice points, and ftrack the search's flight track (nil when not
+// recording).
+type expandFunc func(prefix []trace.TID, res *Result, points []ChoicePoint, push func([]trace.TID), ftrack *flight.Track)
+
+// exploreDFS is the sequential depth-first search loop of Explore and
+// ExploreDPOR: budget and run-cap checks, one panic-isolated replay per
+// popped prefix, the report, the explore.* metrics, the flight spans, and
+// Visit. The explorers differ only in expand; span names the search's
+// flight span.
+func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc) (*ExploreReport, error) {
 	maxRuns := opts.MaxRuns
 	if maxRuns <= 0 {
 		maxRuns = 10000
@@ -74,7 +92,7 @@ func Explore(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 	var exSpan flight.Span
 	if fr := flight.Active(); fr != nil {
 		ftrack = fr.Track("explore")
-		exSpan = ftrack.Begin(flight.CatSched, "explore", 0, flight.A("max_runs", int64(maxRuns)))
+		exSpan = ftrack.Begin(flight.CatSched, span, 0, flight.A("max_runs", int64(maxRuns)))
 		defer func() {
 			exSpan.EndStr(string(rep.Status),
 				flight.A("runs", int64(rep.Runs)), flight.A("states", rep.States))
@@ -82,6 +100,7 @@ func Explore(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 	}
 	// Each stack entry is a forced decision prefix.
 	stack := [][]trace.TID{nil}
+	push := func(np []trace.TID) { stack = append(stack, np) }
 	for len(stack) > 0 {
 		if st := bud.Cutoff(); st != "" {
 			rep.Status = st
@@ -100,7 +119,7 @@ func Explore(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 		if ftrack != nil {
 			runSpan = ftrack.Begin(flight.CatSched, "schedule", exSpan.ID(), flight.A("depth", int64(len(prefix))))
 		}
-		res, points, err := replayPrefix(p, &opts, bud.RunContext(), prefix)
+		res, points, err := replayPrefix(p, opts, bud.RunContext(), prefix)
 		if ftrack != nil {
 			EndRunSpan(runSpan, res, err)
 		}
@@ -128,9 +147,7 @@ func Explore(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 			return finishReport(rep), nil
 		}
 
-		expandPrefixes(points, len(prefix), opts.MaxPreemptions, func(np []trace.TID) {
-			stack = append(stack, np)
-		})
+		expand(prefix, res, points, push, ftrack)
 		mExploreFrontier.SetMax(int64(len(stack)))
 	}
 	rep.Abandoned += len(stack)
@@ -157,7 +174,7 @@ func replayPrefix(p *Program, opts *ExploreOptions, ctx context.Context, prefix 
 		ro.Observers = opts.Observers()
 	}
 	res, err = Run(p, ro)
-	var tp *threadPanic
+	var tp *runPanic
 	if errors.As(err, &tp) {
 		err = &ExploreError{Prefix: prefix, Panic: tp.val, Stack: tp.stack}
 		mExplorePanics.Inc()

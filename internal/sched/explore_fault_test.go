@@ -15,18 +15,23 @@ import (
 // stream, so it is a deterministic function of the schedule — exactly the
 // kind of input-dependent checker crash the explorer must isolate — and
 // it behaves identically no matter which worker replays the schedule.
+// These runs are shorter than the default batch, so the panic fires in the
+// final flush on the scheduler goroutine; the tests below pin that it is
+// still reported as a panic.
 type schedulePanicObserver struct {
 	t0, t1 int
 }
 
-func (o *schedulePanicObserver) Event(e trace.Event) {
-	switch e.Tid {
-	case 0:
-		o.t0++
-	case 1:
-		o.t1++
-		if o.t1 == 2 && o.t0 < 3 {
-			panic("observer crashed on this schedule")
+func (o *schedulePanicObserver) ObserveBatch(batch []trace.Event) {
+	for _, e := range batch {
+		switch e.Tid {
+		case 0:
+			o.t0++
+		case 1:
+			o.t1++
+			if o.t1 == 2 && o.t0 < 3 {
+				panic("observer crashed on this schedule")
+			}
 		}
 	}
 }

@@ -11,19 +11,11 @@ import (
 // capture, schedule/trace recording, strategy consultation — with no
 // observers attached and no contention, under the paper's canonical
 // cooperative strategy. Every event is a scheduling point the strategy
-// declines, so the fast path elides every park; the legacy configuration
-// reproduces the pre-fast-path pipeline (two-hop handoff protocol and
-// per-event CallersFrames symbolization) for an in-tree before/after.
-func runTraceGen(b *testing.B, legacy bool) {
+// declines, so every park is elided.
+func runTraceGen(b *testing.B) {
 	b.Helper()
 	opts := func(hint int) Options {
-		return Options{
-			Strategy:        Cooperative{},
-			RecordTrace:     true,
-			EventsHint:      hint,
-			LegacyHandoff:   legacy,
-			LegacyLocations: legacy,
-		}
+		return Options{Strategy: Cooperative{}, RecordTrace: true, EventsHint: hint}
 	}
 	first, err := Run(counterProgram(4, 400, false), opts(0))
 	if err != nil {
@@ -41,12 +33,7 @@ func runTraceGen(b *testing.B, legacy bool) {
 
 // BenchmarkTraceGen is the trace-generation fast path: PC-cached location
 // capture and choice-point-elided stepping.
-func BenchmarkTraceGen(b *testing.B) { runTraceGen(b, false) }
-
-// BenchmarkTraceGenLegacy is the identical workload through the seed
-// pipeline — per-event frame symbolization and the scheduler-goroutine
-// rendezvous protocol — the denominator of the fast path's speedup.
-func BenchmarkTraceGenLegacy(b *testing.B) { runTraceGen(b, true) }
+func BenchmarkTraceGen(b *testing.B) { runTraceGen(b) }
 
 // BenchmarkTraceGenFlight is BenchmarkTraceGen with the flight recorder
 // enabled: the recorder's cost when it IS on — per-run phase-attribution
@@ -56,7 +43,7 @@ func BenchmarkTraceGenLegacy(b *testing.B) { runTraceGen(b, true) }
 func BenchmarkTraceGenFlight(b *testing.B) {
 	flight.Enable(flight.Options{})
 	defer flight.Disable()
-	runTraceGen(b, false)
+	runTraceGen(b)
 }
 
 // pingPongProgram forces a genuine context switch at every event: two
@@ -79,13 +66,12 @@ func pingPongProgram(n int) *Program {
 	return p
 }
 
-// runHandoff measures switch throughput (switches/s): every event is a
-// genuine scheduling point that transfers the baton, so the metric isolates
-// the cost of one park/unpark — one channel rendezvous on the fast path,
-// two on the legacy path.
-func runHandoff(b *testing.B, legacy bool) {
-	b.Helper()
-	first, err := Run(pingPongProgram(400), Options{Strategy: &RoundRobin{Quantum: 1}, LegacyHandoff: legacy})
+// BenchmarkHandoff measures switch throughput (switches/s) of the one-hop
+// thread→thread baton transfer: every event is a genuine scheduling point
+// that transfers the baton, so the metric isolates the cost of one
+// park/unpark — one channel rendezvous.
+func BenchmarkHandoff(b *testing.B) {
+	first, err := Run(pingPongProgram(400), Options{Strategy: &RoundRobin{Quantum: 1}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -93,17 +79,10 @@ func runHandoff(b *testing.B, legacy bool) {
 	events := first.Events
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opts := Options{Strategy: &RoundRobin{Quantum: 1}, EventsHint: events, LegacyHandoff: legacy}
+		opts := Options{Strategy: &RoundRobin{Quantum: 1}, EventsHint: events}
 		if _, err := Run(pingPongProgram(400), opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(switches)*float64(b.N)/b.Elapsed().Seconds(), "switches/s")
 }
-
-// BenchmarkHandoff times the one-hop thread→thread baton transfer.
-func BenchmarkHandoff(b *testing.B) { runHandoff(b, false) }
-
-// BenchmarkHandoffLegacy times the two-hop thread→scheduler→thread
-// rendezvous the fast path replaced.
-func BenchmarkHandoffLegacy(b *testing.B) { runHandoff(b, true) }

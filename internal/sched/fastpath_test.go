@@ -76,59 +76,15 @@ func TestLocationCacheInliningCorrectness(t *testing.T) {
 	}
 }
 
-// TestLegacyLocationsDifferential runs the same program with the PC cache
-// and with per-event symbolization (Options.LegacyLocations): every event,
-// location id, and interned string must match — the cache is a pure
-// memoization.
-func TestLegacyLocationsDifferential(t *testing.T) {
-	build := func() *Program { return counterProgram(3, 20, true) }
-	run := func(legacy bool) *Result {
-		res, err := Run(build(), Options{
-			Strategy:        NewRandom(7),
-			RecordTrace:     true,
-			LegacyLocations: legacy,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	fast, slow := run(false), run(true)
-	if len(fast.Trace.Events) != len(slow.Trace.Events) {
-		t.Fatalf("event counts differ: %d vs %d", len(fast.Trace.Events), len(slow.Trace.Events))
-	}
-	for i := range fast.Trace.Events {
-		fe, se := fast.Trace.Events[i], slow.Trace.Events[i]
-		if fe != se {
-			t.Fatalf("event %d differs: cached %+v, legacy %+v", i, fe, se)
-		}
-		if fn, sn := fast.Strings.Name(fe.Loc), slow.Strings.Name(se.Loc); fn != sn {
-			t.Fatalf("event %d location differs: cached %q, legacy %q", i, fn, sn)
-		}
-	}
-	if fast.Stats.LocCacheHits == 0 {
-		t.Fatal("cached run recorded no cache hits")
-	}
-	if slow.Stats.LocCacheHits != 0 {
-		t.Fatalf("legacy run hit the cache %d times", slow.Stats.LocCacheHits)
-	}
-}
-
-// TestFastPathStats asserts the new SchedStats counters move under the
-// fast path and stay zero under the legacy protocol, where every switch
-// goes through the scheduler goroutine and every decision parks.
+// TestFastPathStats asserts the SchedStats fast-path counters move: switches
+// are one-hop direct handoffs, declined preemptions are elided parks, and
+// repeated call sites hit the location cache. Every switch but the first
+// (the scheduler goroutine's initial handoff) is a direct one.
 func TestFastPathStats(t *testing.T) {
-	run := func(legacy bool) *Result {
-		res, err := Run(counterProgram(3, 30, true), Options{
-			Strategy:      NewRandom(3),
-			LegacyHandoff: legacy,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	fast, err := Run(counterProgram(3, 30, true), Options{Strategy: NewRandom(3)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	fast := run(false)
 	if fast.Stats.DirectHandoffs == 0 {
 		t.Fatal("fast path recorded no direct handoffs")
 	}
@@ -138,37 +94,28 @@ func TestFastPathStats(t *testing.T) {
 	if fast.Stats.LocCacheHits == 0 {
 		t.Fatal("fast path recorded no location-cache hits")
 	}
-	legacy := run(true)
-	if legacy.Stats.DirectHandoffs != 0 || legacy.Stats.ElidedParks != 0 {
-		t.Fatalf("legacy handoff recorded fast-path stats: %+v", legacy.Stats)
-	}
-	if fast.Stats.Switches != legacy.Stats.Switches || fast.Stats.Preemptions != legacy.Stats.Preemptions {
-		t.Fatalf("switch accounting diverged: fast %+v, legacy %+v", fast.Stats, legacy.Stats)
+	if fast.Stats.DirectHandoffs != fast.Stats.Switches-1 {
+		t.Fatalf("%d direct handoffs for %d switches, want switches-1", fast.Stats.DirectHandoffs, fast.Stats.Switches)
 	}
 }
 
-// TestHandoffBudgetSemantics pins PR 4 semantics on the new parking paths:
-// an event budget abort under the fast path produces the identical error
-// and event count as the legacy protocol.
+// TestHandoffBudgetSemantics pins the event-budget abort on the handoff
+// paths: the run stops at the budget with the documented error, the
+// aborting event is counted but never recorded, and every virtual thread
+// unwinds.
 func TestHandoffBudgetSemantics(t *testing.T) {
-	run := func(legacy bool) (int, error) {
-		res, err := Run(counterProgram(3, 1000, true), Options{
-			Strategy:      NewRandom(5),
-			MaxEvents:     500,
-			LegacyHandoff: legacy,
-		})
-		if err == nil {
-			t.Fatal("expected event-budget error")
-		}
-		return res.Events, err
+	res, err := Run(counterProgram(3, 1000, true), Options{
+		Strategy:    NewRandom(5),
+		MaxEvents:   500,
+		RecordTrace: true,
+	})
+	const want = "sched: event budget exceeded (500 events); livelock?"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
-	fastEvents, fastErr := run(false)
-	legacyEvents, legacyErr := run(true)
-	if fastErr.Error() != legacyErr.Error() {
-		t.Fatalf("budget errors differ:\n fast   %v\n legacy %v", fastErr, legacyErr)
-	}
-	if fastEvents != legacyEvents {
-		t.Fatalf("events at abort differ: fast %d, legacy %d", fastEvents, legacyEvents)
+	if res.Events != 501 || len(res.Schedule) != 500 || res.Trace.Len() != 500 {
+		t.Fatalf("events %d, schedule %d, trace %d; want 501/500/500",
+			res.Events, len(res.Schedule), res.Trace.Len())
 	}
 }
 

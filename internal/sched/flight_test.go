@@ -132,7 +132,7 @@ func TestPhaseAttribution(t *testing.T) {
 		t.Fatalf("PhaseHandoffNs = %d, want > 0 (quantum-1 round robin switches constantly)", st.PhaseHandoffNs)
 	}
 	if st.PhaseAnalysisNs <= 0 {
-		t.Fatalf("PhaseAnalysisNs = %d, want > 0 (per-event observer attached)", st.PhaseAnalysisNs)
+		t.Fatalf("PhaseAnalysisNs = %d, want > 0 (observer attached)", st.PhaseAnalysisNs)
 	}
 	if sum := st.PhaseGenNs + st.PhaseHandoffNs + st.PhaseAnalysisNs; sum != st.PhaseTotalNs && st.PhaseGenNs != 0 {
 		t.Fatalf("phases don't partition total: gen %d + handoff %d + analysis %d != %d",
@@ -161,8 +161,8 @@ func TestFeedTraceCheckerSpans(t *testing.T) {
 	}
 	r := flight.Enable(flight.Options{})
 	defer flight.Disable()
-	named := &namedBatchObserver{}
-	anon := &anonBatchObserver{}
+	named := &namedObserver{}
+	anon := &anonObserver{}
 	FeedTrace(res.Trace, 16, named, anon)
 	rec := r.Snapshot()
 	batches := (res.Trace.Len() + 15) / 16
@@ -177,13 +177,11 @@ func TestFeedTraceCheckerSpans(t *testing.T) {
 	}
 }
 
-type namedBatchObserver struct{ events int }
+type namedObserver struct{ events int }
 
-func (o *namedBatchObserver) Event(trace.Event)            {}
-func (o *namedBatchObserver) ObserveBatch(b []trace.Event) { o.events += len(b) }
-func (o *namedBatchObserver) FlightName() string           { return "test-checker" }
+func (o *namedObserver) ObserveBatch(b []trace.Event) { o.events += len(b) }
+func (o *namedObserver) FlightName() string           { return "test-checker" }
 
-type anonBatchObserver struct{ events int }
+type anonObserver struct{ events int }
 
-func (o *anonBatchObserver) Event(trace.Event)            {}
-func (o *anonBatchObserver) ObserveBatch(b []trace.Event) { o.events += len(b) }
+func (o *anonObserver) ObserveBatch(b []trace.Event) { o.events += len(b) }

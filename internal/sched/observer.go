@@ -2,11 +2,18 @@ package sched
 
 import "repro/internal/trace"
 
-// FuncObserver adapts a function to the Observer interface.
-type FuncObserver func(e trace.Event)
-
-// Event implements Observer.
-func (f FuncObserver) Event(e trace.Event) { f(e) }
+// Observer consumes instrumented events in batches instead of one virtual
+// call per event. The runtime (and FeedTrace) delivers every event exactly
+// once, in trace order, as a sequence of contiguous batches; the final
+// batch of a run may be shorter, and on an aborted run it ends at the last
+// event emitted before the abort.
+//
+// The batch slice is owned by the caller and reused (or aliases a recorded
+// trace); observers must consume it synchronously and must not retain it
+// past the call.
+type Observer interface {
+	ObserveBatch(batch []trace.Event)
+}
 
 // CountObserver counts events per operation kind; it is the cheapest
 // possible observer and anchors the overhead experiments.
@@ -21,7 +28,14 @@ type CountObserver struct {
 	Other int
 }
 
-// Event implements Observer.
+// ObserveBatch implements Observer.
+func (c *CountObserver) ObserveBatch(batch []trace.Event) {
+	for i := range batch {
+		c.Event(batch[i])
+	}
+}
+
+// Event counts one event.
 func (c *CountObserver) Event(e trace.Event) {
 	c.Total++
 	if int(e.Op) < len(c.PerOp) {

@@ -10,10 +10,12 @@ import (
 // instead of silently dropped, so Total always equals sum(PerOp) + Other.
 func TestCountObserverOther(t *testing.T) {
 	var c CountObserver
-	c.Event(trace.Event{Op: trace.OpRead})
-	c.Event(trace.Event{Op: trace.OpWrite})
-	c.Event(trace.Event{Op: trace.Op(32)}) // first op past PerOp
-	c.Event(trace.Event{Op: trace.Op(255)})
+	c.ObserveBatch([]trace.Event{
+		{Op: trace.OpRead},
+		{Op: trace.OpWrite},
+		{Op: trace.Op(32)}, // first op past PerOp
+		{Op: trace.Op(255)},
+	})
 	if c.Total != 4 {
 		t.Fatalf("Total = %d, want 4", c.Total)
 	}

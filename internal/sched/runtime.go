@@ -19,7 +19,8 @@ type Options struct {
 	// are stateful; a fresh run calls Reset and then owns the value, so do
 	// not share one Strategy across concurrent runs.
 	Strategy Strategy
-	// Observers receive every event synchronously, in trace order.
+	// Observers receive every event, in trace order, as contiguous batches
+	// (see Observer).
 	Observers []Observer
 	// RecordTrace retains the full event sequence in Result.Trace.
 	RecordTrace bool
@@ -38,32 +39,12 @@ type Options struct {
 	// unwinding every virtual thread so no goroutine leaks. nil (the
 	// default) keeps the per-event hot path free of context checks.
 	Ctx context.Context
-	// BatchSize is the event-batch buffer size for observers implementing
-	// BatchObserver; 0 means DefaultBatchSize (4096). Observers that only
-	// implement the per-event Observer interface are unaffected. Batching
-	// changes *when* a batch observer sees events (at flush points: buffer
-	// full, or run end — including aborted runs), never which events or
-	// their order, so analyses observe the identical sequence either way.
+	// BatchSize is the observers' event-batch buffer size; 0 means
+	// DefaultBatchSize (4096). Batching changes *when* an observer sees
+	// events (at flush points: buffer full, or run end — including aborted
+	// runs), never which events or their order, so analyses observe the
+	// identical sequence at any size.
 	BatchSize int
-	// LegacyHandoff routes every scheduling decision through the scheduler
-	// goroutine's two-channel rendezvous (the pre-fast-path protocol)
-	// instead of the one-hop thread→thread baton handoff. The two protocols
-	// make the identical sequence of strategy calls and produce identical
-	// schedules, traces, and errors — the schedule-identity differential
-	// tests prove it — so this exists as a validation oracle and debugging
-	// aid, not a feature.
-	LegacyHandoff bool
-	// LegacyLocations symbolizes every event's call site through
-	// runtime.CallersFrames instead of the PC-keyed location cache (the
-	// pre-fast-path behavior). Both paths intern through the same string
-	// table and produce identical location ids; like LegacyHandoff this is
-	// a validation oracle and benchmark baseline, not a feature.
-	LegacyLocations bool
-}
-
-// Observer consumes instrumented events as they are produced.
-type Observer interface {
-	Event(e trace.Event)
 }
 
 // StringsAware is implemented by observers that want to resolve LocIDs;
@@ -190,12 +171,11 @@ type SchedStats struct {
 	// Preemptions counts switches away from a still-runnable thread.
 	Preemptions int
 	// DirectHandoffs counts switches performed as one-hop thread→thread
-	// wakes, bypassing the scheduler goroutine (always 0 under
-	// Options.LegacyHandoff).
+	// wakes, bypassing the scheduler goroutine.
 	DirectHandoffs int
 	// ElidedParks counts scheduling points at which the strategy was
 	// consulted but the running thread kept the baton with zero channel
-	// operations (always 0 under Options.LegacyHandoff).
+	// operations.
 	ElidedParks int
 	// LocCacheHits counts location captures answered by the PC cache;
 	// LocCacheMisses counts symbolization slow paths.
@@ -204,7 +184,7 @@ type SchedStats struct {
 
 	// Phase attribution: the run's wall clock split into generation (the
 	// virtual threads executing workload code), handoff (baton transfer
-	// between threads), and analysis (observer fan-out and batch flushes).
+	// between threads), and analysis (observer batch flushes).
 	// Measured only while the flight recorder is enabled — all four fields
 	// are zero otherwise, so undisturbed runs pay nothing for them.
 	// Generation is the remainder (total − handoff − analysis), clamped at
@@ -295,9 +275,8 @@ type Runtime struct {
 
 	strings   *trace.Strings
 	tr        *trace.Trace
-	observers []Observer // per-event (compatibility) observers only
-	batchObs  []BatchObserver
-	batch     []trace.Event // pending events not yet flushed to batchObs
+	observers []Observer
+	batch     []trace.Event // pending events not yet flushed to observers
 	symbols   *Symbols
 	schedule  []trace.TID
 
@@ -370,7 +349,6 @@ func Run(p *Program, opts Options) (*Result, error) {
 	if opts.Strategy == nil {
 		return nil, errors.New("sched: options require a Strategy")
 	}
-	batched, perEvent := splitObservers(opts.Observers)
 	rt := &Runtime{
 		prog:      p,
 		opts:      opts,
@@ -381,15 +359,14 @@ func Run(p *Program, opts Options) (*Result, error) {
 		conds:     make([]condState, len(p.conds)),
 		chs:       make([]chanState, len(p.chans)),
 		strings:   trace.NewStrings(),
-		observers: perEvent,
-		batchObs:  batched,
+		observers: opts.Observers,
 		methodIDs: make(map[string]uint64),
 		toSched:   make(chan struct{}),
 		maxEvents: opts.MaxEvents,
 		current:   -1,
 		noLoc:     opts.DisableLocations,
 	}
-	if len(batched) > 0 {
+	if len(opts.Observers) > 0 {
 		size := opts.BatchSize
 		if size <= 0 {
 			size = DefaultBatchSize
@@ -429,8 +406,8 @@ func Run(p *Program, opts Options) (*Result, error) {
 		rt.tr.Meta.Seed = opts.Strategy.Seed()
 		rt.tr.Grow(opts.EventsHint)
 	}
-	// Both observer groups get the string table and the presize hint before
-	// the first event/batch, so batch observers grow their state once too.
+	// Observers get the string table and the presize hint before the first
+	// batch, so they grow their state once.
 	for _, o := range opts.Observers {
 		if sa, ok := o.(StringsAware); ok {
 			sa.SetStrings(rt.strings)
@@ -447,11 +424,11 @@ func Run(p *Program, opts Options) (*Result, error) {
 
 	rt.spawn("main", p.main)
 	err := rt.loop()
-	// Deliver the pending partial batch whatever way the run ended, so batch
-	// observers see exactly the events the per-event path delivered — on an
-	// aborted run, everything up to the failure point. This flush runs on
-	// the scheduler goroutine (threads are parked or dead), so observer
-	// panics are caught here rather than by a thread's recover.
+	// Deliver the pending partial batch whatever way the run ended, so
+	// observers see every emitted event — on an aborted run, everything up
+	// to the failure point. This flush runs on the scheduler goroutine
+	// (threads are parked or dead), so observer panics are caught here
+	// rather than by a thread's recover.
 	if ferr := rt.flushBatchFinal(); ferr != nil && err == nil {
 		err = ferr
 	}
@@ -527,39 +504,18 @@ func (rt *Runtime) spawn(name string, fn Proc) *thread {
 	return t
 }
 
-// loop is the scheduler goroutine. Under the one-hop handoff protocol it
-// only brackets the run: it hands the baton to the first picked thread and
-// then sleeps until a baton holder hits a terminal condition (all done,
-// deadlock, or error) — every intermediate switch is a direct
-// thread→thread handoff that never wakes this goroutine (see handoff).
-// With Options.LegacyHandoff it is the classic two-hop loop instead: every
-// scheduling point returns the baton here, costing two channel rendezvous
-// per switch.
+// loop is the scheduler goroutine. It only brackets the run: it hands the
+// baton to the first picked thread and then sleeps until a baton holder
+// hits a terminal condition (all done, deadlock, or error) — every
+// intermediate switch is a direct thread→thread handoff that never wakes
+// this goroutine (see handoff).
 func (rt *Runtime) loop() error {
-	if rt.opts.LegacyHandoff {
-		return rt.legacyLoop()
-	}
 	if next, ok := rt.pickNext(); ok {
 		rt.noteHandoffStart()
 		rt.threads[next].resume <- struct{}{}
 		<-rt.toSched
 	}
 	return rt.finish()
-}
-
-// legacyLoop is the pre-fast-path scheduler: pick a runnable thread, hand
-// it the baton, wait for it to hand the baton back, repeat until all
-// threads finish.
-func (rt *Runtime) legacyLoop() error {
-	for {
-		next, ok := rt.pickNext()
-		if !ok {
-			return rt.finish()
-		}
-		rt.noteHandoffStart()
-		rt.threads[next].resume <- struct{}{}
-		<-rt.toSched
-	}
 }
 
 // finish settles a terminal state on the scheduler goroutine: the baton
@@ -583,9 +539,7 @@ func (rt *Runtime) finish() error {
 // rt.current. ok=false means the baton must go to the scheduler goroutine:
 // the run errored or diverged (rt.err is set), or no thread is runnable
 // (completion or deadlock — finish tells them apart). Exactly one
-// goroutine — the baton holder — calls this at a time, and both handoff
-// protocols call it in the identical sequence, which is what keeps their
-// schedules bit-identical.
+// goroutine — the baton holder — calls this at a time.
 func (rt *Runtime) pickNext() (trace.TID, bool) {
 	if rt.err != nil {
 		return 0, false
@@ -801,15 +755,11 @@ func (rt *Runtime) threadBody(t *thread) {
 				// Structured so the explorer can rewrap it (with the
 				// schedule prefix) into an *ExploreError finding; the
 				// stack is captured here, where the panic frames live.
-				rt.err = &threadPanic{tid: t.id, name: t.name, val: r, stack: debug.Stack()}
+				rt.err = &runPanic{where: fmt.Sprintf("T%d (%s)", t.id, t.name), val: r, stack: debug.Stack()}
 			}
 		}
 		t.state = stateDone
 		rt.wakeJoiners(t.id)
-		if rt.opts.LegacyHandoff {
-			rt.toSched <- struct{}{}
-			return
-		}
 		rt.handoff(t, false)
 	}()
 	if rt.killed {
@@ -830,28 +780,13 @@ func (rt *Runtime) waitTurn(t *thread) {
 	}
 }
 
-// switchOut yields the baton at a scheduling point. On the fast path the
-// yielding thread resolves the decision itself: it keeps running with zero
-// channel operations when the pick lands back on it, wakes its successor
-// directly with a single send otherwise, and only involves the scheduler
-// goroutine on terminal transitions. The legacy protocol hands the baton
-// to the scheduler goroutine and parks — two rendezvous per switch.
-func (rt *Runtime) switchOut(t *thread) {
-	if rt.opts.LegacyHandoff {
-		rt.toSched <- struct{}{}
-		rt.waitTurn(t)
-		return
-	}
-	rt.handoff(t, true)
-}
-
 // blockOn marks t blocked for the given reason and parks it. The waker is
 // responsible for setting the state back to runnable.
 func (rt *Runtime) blockOn(t *thread, kind waitKind, id uint64) {
 	t.state = stateBlocked
 	t.waitOn = kind
 	t.waitID = id
-	rt.switchOut(t)
+	rt.handoff(t, true)
 	t.waitOn = waitNone
 }
 
@@ -892,12 +827,7 @@ func (rt *Runtime) emitPC(t *thread, op trace.Op, target uint64, pc uintptr) {
 	}
 	var loc trace.LocID
 	if pc != 0 {
-		if rt.opts.LegacyLocations {
-			rt.locs.miss++
-			loc = rt.locs.symbolize(rt.strings, pc)
-		} else {
-			loc = rt.locs.lookup(rt.strings, pc)
-		}
+		loc = rt.locs.lookup(rt.strings, pc)
 	} else if !rt.noLoc {
 		// Location capture is on but runtime.Callers produced no frames:
 		// intern the deterministic sentinel so traces stay reproducible.
@@ -936,30 +866,13 @@ func (rt *Runtime) emit(t *thread, op trace.Op, target uint64, loc trace.LocID) 
 	if rt.tr != nil {
 		rt.tr.Append(e)
 	}
-	if len(rt.observers) > 0 {
-		// Observer fan-out is analysis time. Timed per event only when
-		// phase attribution is on AND per-event observers exist at all, so
-		// the common configurations (no observers, or batch-only) never pay
-		// a clock read here.
-		if rt.phaseOn {
-			t0 := time.Now()
-			for _, o := range rt.observers {
-				o.Event(e)
-			}
-			rt.phaseAnalysisNs += time.Since(t0).Nanoseconds()
-		} else {
-			for _, o := range rt.observers {
-				o.Event(e)
-			}
-		}
-	}
 	if rt.batch != nil {
 		rt.batch = append(rt.batch, e)
 		if len(rt.batch) == cap(rt.batch) {
-			// Full buffer: fan the batch out to every batch observer. This
-			// runs on the emitting virtual thread's goroutine, so an
-			// observer panic here is caught by threadBody's recover and
-			// isolated exactly like a per-event observer panic (PR 4).
+			// Full buffer: fan the batch out to every observer. This runs
+			// on the emitting virtual thread's goroutine, so an observer
+			// panic here is caught by threadBody's recover and isolated
+			// like any other panic inside a virtual thread.
 			rt.flushBatch()
 		}
 	}
@@ -968,12 +881,12 @@ func (rt *Runtime) emit(t *thread, op trace.Op, target uint64, loc trace.LocID) 
 	// the baton back permanently, and parking it would consume a scheduling
 	// slot that recorded schedules do not contain.
 	if rt.strat.Preempt(e) && op != trace.OpEnd {
-		rt.switchOut(t)
+		rt.handoff(t, true)
 	}
 }
 
-// flushBatch hands the pending event batch to every batch observer and
-// resets the buffer for reuse. Observers must not retain the slice.
+// flushBatch hands the pending event batch to every observer and resets
+// the buffer for reuse. Observers must not retain the slice.
 func (rt *Runtime) flushBatch() {
 	pending := rt.batch
 	if len(pending) == 0 {
@@ -986,27 +899,29 @@ func (rt *Runtime) flushBatch() {
 	rt.batch = rt.batch[:0]
 	if rt.phaseOn {
 		t0 := time.Now()
-		for _, bo := range rt.batchObs {
-			bo.ObserveBatch(pending)
+		for _, o := range rt.observers {
+			o.ObserveBatch(pending)
 		}
 		rt.phaseAnalysisNs += time.Since(t0).Nanoseconds()
 		return
 	}
-	for _, bo := range rt.batchObs {
-		bo.ObserveBatch(pending)
+	for _, o := range rt.observers {
+		o.ObserveBatch(pending)
 	}
 }
 
-// flushBatchFinal delivers the last partial batch at the end of a run,
-// converting an observer panic into an error (there is no thread recover on
-// the scheduler goroutine to isolate it).
+// flushBatchFinal delivers the last partial batch at the end of a run.
+// There is no thread recover on the scheduler goroutine, so an observer
+// panic is converted here into the same structured error a panic inside a
+// virtual thread produces, stack included, and the explorers report it as
+// an *ExploreError finding either way.
 func (rt *Runtime) flushBatchFinal() (err error) {
 	if len(rt.batch) == 0 {
 		return nil
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("sched: batch observer panicked in final flush: %v\n%s", r, debug.Stack())
+			err = &runPanic{where: "the final flush of observers", val: r, stack: debug.Stack()}
 		}
 	}()
 	rt.flushBatch()
@@ -1087,10 +1002,7 @@ func (c *locCache) lookup(strs *trace.Strings, pc uintptr) trace.LocID {
 }
 
 // symbolize expands a call-site PC to its interned "file:line" id without
-// consulting the cache — the slow path of lookup, and the whole path under
-// Options.LegacyLocations. Interning goes through the same string table,
-// so cache and no-cache runs produce identical location ids; the
-// locations differential test pins that down.
+// consulting the cache — the slow path of lookup.
 func (c *locCache) symbolize(strs *trace.Strings, pc uintptr) trace.LocID {
 	frames := runtime.CallersFrames([]uintptr{pc})
 	f, _ := frames.Next()

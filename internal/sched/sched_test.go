@@ -450,14 +450,13 @@ func TestLocationsCaptured(t *testing.T) {
 
 func TestObserversSeeEveryEvent(t *testing.T) {
 	var co CountObserver
-	var got []trace.Op
-	fo := FuncObserver(func(e trace.Event) { got = append(got, e.Op) })
-	res, err := Run(counterProgram(2, 3, true), Options{Observers: []Observer{&co, fo}, Strategy: NewRandom(11)})
+	br := &batchRecorder{}
+	res, err := Run(counterProgram(2, 3, true), Options{Observers: []Observer{&co, br}, Strategy: NewRandom(11)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if co.Total != res.Events || len(got) != res.Events {
-		t.Fatalf("observer totals %d/%d, want %d", co.Total, len(got), res.Events)
+	if co.Total != res.Events || len(br.events) != res.Events {
+		t.Fatalf("observer totals %d/%d, want %d", co.Total, len(br.events), res.Events)
 	}
 	if co.PerOp[trace.OpAcquire] != 6 || co.PerOp[trace.OpRelease] != 6 {
 		t.Fatalf("lock op counts = %d/%d, want 6/6", co.PerOp[trace.OpAcquire], co.PerOp[trace.OpRelease])
@@ -469,8 +468,8 @@ type hintObserver struct {
 	hint int
 }
 
-func (h *hintObserver) Event(trace.Event) {}
-func (h *hintObserver) HintEvents(n int)  { h.hint = n }
+func (h *hintObserver) ObserveBatch([]trace.Event) {}
+func (h *hintObserver) HintEvents(n int)           { h.hint = n }
 
 func TestEventsHintForwardedToObservers(t *testing.T) {
 	var ho hintObserver

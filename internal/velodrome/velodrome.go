@@ -320,7 +320,7 @@ func (c *Checker) access(e trace.Event, id int32) {
 func (c *Checker) FlightName() string { return "velodrome" }
 
 // ObserveBatch processes one batch of events in trace order; it implements
-// sched.BatchObserver (the fused pipeline's amortized-dispatch path).
+// sched.Observer.
 //
 // An access by a thread with an open transactional node needs none of
 // Event's node bookkeeping — the node stays open, no unary close — so it

@@ -41,13 +41,8 @@ func digestRows() []string {
 		res, err := sched.Run(build(), sched.Options{Strategy: strat, RecordTrace: true, MaxEvents: maxEvents})
 		rows = append(rows, digestRow(label, res, err))
 	}
-	for seed := int64(0); seed < 200; seed++ {
-		cfg := gen.Config{
-			Threads:      2 + int(seed%4),
-			Vars:         3 + int(seed%3),
-			OpsPerThread: 10 + int(seed%8),
-		}
-		build := func() *sched.Program { return gen.Program(seed, cfg) }
+	for seed := int64(0); seed < digestGenSeeds; seed++ {
+		build := func() *sched.Program { return digestGenProgram(seed) }
 		row(fmt.Sprintf("gen/%d/random", seed), build, sched.NewRandom(seed), 0)
 		row(fmt.Sprintf("gen/%d/rr", seed), build, &sched.RoundRobin{Quantum: 1 + int(seed%4)}, 0)
 		if seed%4 == 0 {
@@ -55,11 +50,7 @@ func digestRows() []string {
 		}
 	}
 	for _, spec := range workloads.All() {
-		size := 0
-		if spec.DefaultSize > 8 {
-			size = spec.DefaultSize / 4 // harness.Config.Quick's shrink
-		}
-		build := func() *sched.Program { return spec.New(0, size) }
+		build := func() *sched.Program { return spec.New(0, quickSize(spec)) }
 		for _, strat := range []sched.Strategy{
 			sched.Cooperative{},
 			&sched.RoundRobin{Quantum: 1},
@@ -129,6 +120,26 @@ func compareDigest(t *testing.T, what string, part func(row string) string) {
 			}
 		}
 	}
+}
+
+// digestGenSeeds is the number of generated programs the golden covers.
+const digestGenSeeds = 200
+
+// digestGenProgram builds the golden's generated program for seed.
+func digestGenProgram(seed int64) *sched.Program {
+	return gen.Program(seed, gen.Config{
+		Threads:      2 + int(seed%4),
+		Vars:         3 + int(seed%3),
+		OpsPerThread: 10 + int(seed%8),
+	})
+}
+
+// quickSize shrinks the heavyweight workloads as harness.Config.Quick does.
+func quickSize(spec workloads.Spec) int {
+	if spec.DefaultSize > 8 {
+		return spec.DefaultSize / 4
+	}
+	return 0
 }
 
 // digestRow renders one run as a golden row.

@@ -78,7 +78,7 @@ type expandFunc func(prefix []trace.TID, res *Result, points []ChoicePoint, push
 // ExploreDPOR: budget and run-cap checks, one panic-isolated replay per
 // popped prefix, the report, the explore.* metrics, the flight spans, and
 // Visit. The explorers differ only in expand; span names the search's
-// flight span.
+// flight span. Every replay runs its threads on one pool, closed on return.
 func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc) (*ExploreReport, error) {
 	maxRuns := opts.MaxRuns
 	if maxRuns <= 0 {
@@ -87,6 +87,8 @@ func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc
 	mExploreMaxRuns.Set(int64(maxRuns))
 	bud := StartBudget(opts.Budget)
 	defer bud.Stop()
+	pool := newThreadPool()
+	defer pool.close()
 	rep := &ExploreReport{Status: StatusComplete}
 	var ftrack *flight.Track
 	var exSpan flight.Span
@@ -119,7 +121,7 @@ func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc
 		if ftrack != nil {
 			runSpan = ftrack.Begin(flight.CatSched, "schedule", exSpan.ID(), flight.A("depth", int64(len(prefix))))
 		}
-		res, points, err := replayPrefix(p, opts, bud.RunContext(), prefix)
+		res, points, err := replayPrefix(p, opts, pool, bud.RunContext(), prefix)
 		if ftrack != nil {
 			EndRunSpan(runSpan, res, err)
 		}
@@ -159,8 +161,9 @@ func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc
 // scheduler loop, or (via the runtime's own recover) a virtual thread —
 // becomes an *ExploreError, so a crashing schedule is a deterministic
 // finding instead of a process abort. ctx, when non-nil, aborts the run
-// cooperatively with an error wrapping ErrCancelled.
-func replayPrefix(p *Program, opts *ExploreOptions, ctx context.Context, prefix []trace.TID) (res *Result, points []ChoicePoint, err error) {
+// cooperatively with an error wrapping ErrCancelled. The run's threads
+// start on pool.
+func replayPrefix(p *Program, opts *ExploreOptions, pool *threadPool, ctx context.Context, prefix []trace.TID) (res *Result, points []ChoicePoint, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, points = nil, nil
@@ -173,7 +176,7 @@ func replayPrefix(p *Program, opts *ExploreOptions, ctx context.Context, prefix 
 	if opts.Observers != nil {
 		ro.Observers = opts.Observers()
 	}
-	res, err = Run(p, ro)
+	res, err = runOn(pool, p, ro)
 	var tp *runPanic
 	if errors.As(err, &tp) {
 		err = &ExploreError{Prefix: prefix, Panic: tp.val, Stack: tp.stack}

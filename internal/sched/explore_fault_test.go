@@ -115,9 +115,11 @@ func TestExplorePanicErrorShape(t *testing.T) {
 		t.Errorf("Error() = %q, want the panic value in it", got.Error())
 	}
 	// The prefix must reproduce the crash deterministically.
+	pool := newThreadPool()
 	_, _, rerr := replayPrefix(incrementers(), &ExploreOptions{
 		Observers: func() []Observer { return []Observer{&schedulePanicObserver{}} },
-	}, nil, got.Prefix)
+	}, pool, nil, got.Prefix)
+	pool.close()
 	if _, ok := rerr.(*ExploreError); !ok { //nolint:errorlint
 		t.Fatalf("replaying the crash prefix gave %v, want *ExploreError", rerr)
 	}

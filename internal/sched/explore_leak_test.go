@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -28,10 +29,68 @@ func requireNoGoroutineLeak(t *testing.T, f func()) {
 	}
 }
 
+// panickyIncrementers panics in the forked thread on the schedules where
+// it reads the main thread's write, sometimes while main is still parked.
+func panickyIncrementers() *Program {
+	p := NewProgram("panicky-incrementers")
+	x := p.Var("x")
+	p.SetMain(func(t *T) {
+		h := t.Fork("w", func(t *T) {
+			if t.Read(x) == 1 {
+				panic("w read main's write")
+			}
+			t.Write(x, 1)
+		})
+		t.Write(x, 1)
+		t.Join(h)
+	})
+	return p
+}
+
+// lockOrderDeadlock takes two locks in opposite orders through nested
+// WithLock, so some schedules deadlock with both threads parked inside
+// WithLock bodies, and killing the run makes each deferred Release, an op,
+// run during the kill.
+func lockOrderDeadlock() *Program {
+	p := NewProgram("lock-order-deadlock")
+	a, b := p.Mutex("a"), p.Mutex("b")
+	x := p.Var("x")
+	p.SetMain(func(t *T) {
+		h := t.Fork("w", func(t *T) {
+			t.WithLock(b, func() { t.WithLock(a, func() { t.Write(x, 1) }) })
+		})
+		t.WithLock(a, func() { t.WithLock(b, func() { t.Write(x, 2) }) })
+		t.Join(h)
+	})
+	return p
+}
+
+// deadlineInsideLocks runs one thread long enough for a 1-ms deadline to
+// cancel it inside its WithLock body, while main is parked joining it
+// inside a WithLock body of its own.
+func deadlineInsideLocks() *Program {
+	p := NewProgram("deadline-inside-locks")
+	a, b := p.Mutex("a"), p.Mutex("b")
+	x := p.Var("x")
+	p.SetMain(func(t *T) {
+		h := t.Fork("w", func(t *T) {
+			t.WithLock(b, func() {
+				for i := 0; i < 200_000; i++ {
+					t.Write(x, int64(i))
+				}
+			})
+		})
+		t.WithLock(a, func() { t.Join(h) })
+	})
+	return p
+}
+
 // TestExploreNoGoroutineLeak covers every way a search can end — clean
-// completion, early stop, each budget cutoff, cancellation, and replay
-// panics — at both worker counts, asserting no goroutine outlives the
-// Explore call.
+// completion, early stop, each budget cutoff, cancellation, replay panics,
+// including thread panics recovered on pooled goroutines, and runs killed
+// while threads are inside WithLock bodies — under
+// Explore at both worker counts and under ExploreDPOR, asserting no
+// goroutine outlives the call.
 func TestExploreNoGoroutineLeak(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -88,22 +147,93 @@ func TestExploreNoGoroutineLeak(t *testing.T) {
 				Observers: func() []Observer { panic("factory exploded") },
 				Visit:     func(*Result, error) bool { return true }}
 		}},
+		{"thread-panic", func() ExploreOptions {
+			return ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2,
+				Visit: func(*Result, error) bool { return true }}
+		}},
+		{"lock-order-deadlock", func() ExploreOptions {
+			return ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2,
+				Visit: func(*Result, error) bool { return true }}
+		}},
+		{"deadline-in-lock", func() ExploreOptions {
+			return ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2,
+				Budget: Budget{Timeout: time.Millisecond},
+				Visit:  func(*Result, error) bool { return true }}
+		}},
 	}
 	for _, sc := range scenarios {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/parallel=%d", sc.name, workers), func(t *testing.T) {
-				requireNoGoroutineLeak(t, func() {
-					opts := sc.opts()
-					opts.Parallel = workers
-					prog := incrementers
-					if sc.name == "deadline" {
-						prog = func() *Program { return counterProgram(2, 60, true) }
-					}
-					if _, err := Explore(prog(), opts); err != nil {
-						t.Fatal(err)
-					}
-				})
+		prog := incrementers
+		switch sc.name {
+		case "deadline":
+			prog = func() *Program { return counterProgram(2, 60, true) }
+		case "thread-panic":
+			prog = panickyIncrementers
+		case "lock-order-deadlock":
+			prog = lockOrderDeadlock
+		case "deadline-in-lock":
+			prog = deadlineInsideLocks
+		}
+		search := func(t *testing.T, explore func(*Program, ExploreOptions) (*ExploreReport, error), opts ExploreOptions) {
+			deadlocks := 0
+			visit := opts.Visit
+			opts.Visit = func(res *Result, err error) bool {
+				if errors.Is(err, ErrDeadlock) {
+					deadlocks++
+				}
+				return visit(res, err)
+			}
+			requireNoGoroutineLeak(t, func() {
+				rep, err := explore(prog(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case sc.name == "thread-panic" && rep.Panics == 0:
+					t.Fatal("no thread panicked")
+				case sc.name == "lock-order-deadlock" && deadlocks == 0:
+					t.Fatal("no schedule deadlocked")
+				case sc.name == "deadline-in-lock" && (rep.Status != StatusDeadline || rep.Runs != 0):
+					t.Fatalf("status %s after %d runs; want the deadline inside the first run", rep.Status, rep.Runs)
+				}
 			})
 		}
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/parallel=%d", sc.name, workers), func(t *testing.T) {
+				opts := sc.opts()
+				opts.Parallel = workers
+				search(t, Explore, opts)
+			})
+		}
+		t.Run(sc.name+"/dpor", func(t *testing.T) { search(t, ExploreDPOR, sc.opts()) })
+	}
+}
+
+// TestKillUnwindsDeferredOps kills a run whose threads run ops from defers
+// while they unwind: Releases from WithLock, and a Fork whose new thread
+// must be killed too. Under a strategy that preempts at every event the
+// Releases reach a preemption point during the kill; under one that never
+// preempts they complete. Either way Run returns the deadlock and its
+// run-scoped pool leaves no goroutine behind.
+func TestKillUnwindsDeferredOps(t *testing.T) {
+	p := NewProgram("deferred-ops")
+	a, b := p.Mutex("a"), p.Mutex("b")
+	p.SetMain(func(t *T) {
+		t.WithLock(a, func() {
+			h := t.Fork("w", func(t *T) {
+				defer t.Fork("late", func(*T) {})
+				t.WithLock(b, func() { t.Acquire(a) })
+			})
+			t.Join(h)
+		})
+	})
+	for _, quantum := range []int{1, 1 << 30} {
+		t.Run(fmt.Sprintf("quantum=%d", quantum), func(t *testing.T) {
+			requireNoGoroutineLeak(t, func() {
+				_, err := Run(p, Options{Strategy: &RoundRobin{Quantum: quantum}})
+				if !errors.Is(err, ErrDeadlock) {
+					t.Fatalf("err = %v, want ErrDeadlock", err)
+				}
+			})
+		})
 	}
 }

@@ -108,9 +108,9 @@ func (f *exFrontier) close() {
 // channel is closed unconditionally — and replayPrefix recovers panics
 // anywhere in the replay — so a crashing schedule can never leave the
 // driver blocked on t.done.
-func replayTask(p *Program, opts *ExploreOptions, ctx context.Context, t *exTask) {
+func replayTask(p *Program, opts *ExploreOptions, pool *threadPool, ctx context.Context, t *exTask) {
 	defer close(t.done)
-	t.res, t.points, t.err = replayPrefix(p, opts, ctx, t.prefix)
+	t.res, t.points, t.err = replayPrefix(p, opts, pool, ctx, t.prefix)
 	mExploreReplays.Inc()
 }
 
@@ -122,7 +122,8 @@ func replayTask(p *Program, opts *ExploreOptions, ctx context.Context, t *exTask
 // the sequential prefix. On cutoff the deferred close/wait drains the
 // pool: idle workers wake from take() and exit, and in-flight replays
 // either finish or (when a cancellation context is set) abort at their
-// next per-1024-event check.
+// next per-1024-event check. The driver and the workers run their
+// replays' threads on one shared pool, closed after the workers exit.
 func exploreParallel(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 	maxRuns := opts.MaxRuns
 	if maxRuns <= 0 {
@@ -131,6 +132,8 @@ func exploreParallel(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 	mExploreMaxRuns.Set(int64(maxRuns))
 	bud := StartBudget(opts.Budget)
 	defer bud.Stop()
+	pool := newThreadPool()
+	defer pool.close()
 	fr := flight.Active()
 	var ftrack *flight.Track
 	var exSpan flight.Span
@@ -158,7 +161,7 @@ func exploreParallel(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 						flight.A("depth", int64(len(t.prefix))))
 				}
 				busy := time.Now()
-				replayTask(p, &opts, bud.RunContext(), t)
+				replayTask(p, &opts, pool, bud.RunContext(), t)
 				mWorkerBusyNs.Add(int64(time.Since(busy)))
 				mExploreSteals.Inc()
 				if wtrack != nil {
@@ -221,7 +224,7 @@ func exploreParallel(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 				flight.A("depth", int64(len(t.prefix))))
 		}
 		if frontier.claim(t) {
-			replayTask(p, &opts, bud.RunContext(), t)
+			replayTask(p, &opts, pool, bud.RunContext(), t)
 		} else {
 			<-t.done
 		}

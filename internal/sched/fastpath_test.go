@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/trace"
@@ -73,6 +75,90 @@ func TestLocationCacheInliningCorrectness(t *testing.T) {
 	}
 	if res.Stats.LocCacheHits == 0 || res.Stats.LocCacheMisses == 0 {
 		t.Fatalf("stats hits=%d misses=%d, want both > 0", res.Stats.LocCacheHits, res.Stats.LocCacheMisses)
+	}
+}
+
+// TestWarmSymbolTableKeepsTraces pins that the process-wide symbol table
+// is a pure memoization behind the per-run location cache: replaying one
+// schedule with the table cold and then warm yields byte-identical
+// serialized traces — events, LocIDs and string-table order — with the
+// same per-run cache misses, and the warm run adds no table entry. Runs
+// that fill an empty table concurrently agree with them too.
+func TestWarmSymbolTableKeepsTraces(t *testing.T) {
+	first, err := Run(counterProgram(3, 4, true), Options{Strategy: NewRandom(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptyTable := func() {
+		symtab.mu.Lock()
+		symtab.names = nil
+		symtab.mu.Unlock()
+	}
+	entries := func() int {
+		symtab.mu.RLock()
+		defer symtab.mu.RUnlock()
+		return len(symtab.names)
+	}
+	// replay runs first's schedule and returns its serialized trace; it
+	// may run on any goroutine, so it returns errors instead of failing.
+	replay := func() (*Result, []byte, error) {
+		res, err := Run(counterProgram(3, 4, true), Options{
+			Strategy:    NewReplayChoices(first.Schedule, first.Choices),
+			RecordTrace: true,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		var buf bytes.Buffer
+		_, err = res.Trace.WriteTo(&buf)
+		return res, buf.Bytes(), err
+	}
+
+	emptyTable()
+	cold, coldBytes, err := replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	filled := entries()
+	if filled == 0 {
+		t.Fatal("the cold run left the symbol table empty")
+	}
+	warm, warmBytes, err := replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(coldBytes, warmBytes) {
+		t.Fatalf("warm-table trace differs from the cold-table trace (%d vs %d bytes)", len(warmBytes), len(coldBytes))
+	}
+	if n := entries(); n != filled {
+		t.Fatalf("the warm run grew the symbol table from %d to %d entries", filled, n)
+	}
+	if cold.Stats.LocCacheMisses != warm.Stats.LocCacheMisses || cold.Stats.LocCacheHits != warm.Stats.LocCacheHits {
+		t.Fatalf("per-run cache hits/misses cold %d/%d, warm %d/%d; want equal",
+			cold.Stats.LocCacheHits, cold.Stats.LocCacheMisses, warm.Stats.LocCacheHits, warm.Stats.LocCacheMisses)
+	}
+
+	emptyTable()
+	var wg sync.WaitGroup
+	traces := make([][]byte, 4)
+	errs := make([]error, len(traces))
+	for i := range traces {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, traces[i], errs[i] = replay()
+		}()
+	}
+	wg.Wait()
+	for i, b := range traces {
+		if errs[i] != nil {
+			t.Errorf("concurrent run %d: %v", i, errs[i])
+		} else if !bytes.Equal(b, coldBytes) {
+			t.Errorf("concurrent run %d: trace differs from the sequential one", i)
+		}
+	}
+	if n := entries(); n != filled {
+		t.Errorf("concurrent runs left %d table entries, want %d", n, filled)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs/flight"
@@ -230,7 +231,6 @@ type thread struct {
 	proc     Proc
 	resume   chan struct{}
 	state    threadState
-	started  bool // goroutine launched
 	waitOn   waitKind
 	waitID   uint64
 	signaled bool // condition notify received
@@ -263,6 +263,7 @@ type Runtime struct {
 	prog  *Program
 	opts  Options
 	strat Strategy
+	pool  *threadPool // runs the virtual threads' goroutines
 
 	threads []*thread
 	current trace.TID
@@ -343,6 +344,15 @@ type Runtime struct {
 // Run executes p under the given options and returns the run summary.
 // It is deterministic for a fixed program, strategy, and seed.
 func Run(p *Program, opts Options) (*Result, error) {
+	pool := newThreadPool()
+	res, err := runOn(pool, p, opts)
+	pool.close()
+	return res, err
+}
+
+// runOn is Run with the virtual threads' goroutines taken from pool, which
+// the caller closes once its last run has returned.
+func runOn(pool *threadPool, p *Program, opts Options) (*Result, error) {
 	if p.main == nil {
 		return nil, errors.New("sched: program has no main")
 	}
@@ -353,6 +363,7 @@ func Run(p *Program, opts Options) (*Result, error) {
 		prog:      p,
 		opts:      opts,
 		strat:     opts.Strategy,
+		pool:      pool,
 		vals:      make([]int64, len(p.vars)),
 		volVals:   make([]int64, len(p.volatiles)),
 		mus:       make([]mutexState, len(p.mutexes)),
@@ -486,8 +497,8 @@ func chanNames(defs []chanDef) []string {
 	return out
 }
 
-// spawn creates a thread record and launches its goroutine, which parks
-// immediately awaiting its first turn.
+// spawn creates a thread record and starts it on a pool goroutine, which
+// parks immediately awaiting the thread's first turn.
 func (rt *Runtime) spawn(name string, fn Proc) *thread {
 	t := &thread{
 		id:          trace.TID(len(rt.threads)),
@@ -499,8 +510,7 @@ func (rt *Runtime) spawn(name string, fn Proc) *thread {
 	}
 	rt.threads = append(rt.threads, t)
 	rt.symbols.Threads = append(rt.symbols.Threads, name)
-	t.started = true
-	go rt.threadBody(t)
+	rt.pool.start(&T{rt: rt, t: t})
 	return t
 }
 
@@ -574,10 +584,15 @@ func (rt *Runtime) pickNext() (trace.TID, bool) {
 // deadlock, error — fall back to the scheduler goroutine.
 func (rt *Runtime) handoff(t *thread, parkAfter bool) {
 	if rt.killed {
-		// Only a dying thread's defer can observe this: killAll holds the
-		// baton and resumes parked threads one by one, each unwinding via
-		// errKilled to its defer. Complete killAll's resume/toSched
-		// handshake instead of scheduling.
+		// Only a dying thread can observe this: killAll holds the baton
+		// and resumes parked threads one by one, each unwinding via
+		// errKilled. An op in one of its defers (a WithLock's Release)
+		// that reaches a preemption point or blocks is aborted here, so
+		// that only the exit in threadBody's defer completes killAll's
+		// resume/toSched handshake, once per thread.
+		if parkAfter {
+			panic(errKilled)
+		}
 		rt.toSched <- struct{}{}
 		return
 	}
@@ -732,11 +747,14 @@ func (rt *Runtime) waitsForCycle() []trace.TID {
 }
 
 // killAll resumes every live thread with the kill flag set so its goroutine
-// unwinds, preventing leaks after an error.
+// unwinds, preventing leaks after an error. It indexes rather than ranges
+// because a deferred Fork in an unwinding thread appends a thread, which
+// must be killed too.
 func (rt *Runtime) killAll() {
 	rt.killed = true
 	rt.phaseOn = false // teardown wakes are not handoffs
-	for _, t := range rt.threads {
+	for i := 0; i < len(rt.threads); i++ {
+		t := rt.threads[i]
 		if t.state == stateDone {
 			continue
 		}
@@ -745,8 +763,10 @@ func (rt *Runtime) killAll() {
 	}
 }
 
-// threadBody is the goroutine wrapper around a virtual thread.
-func (rt *Runtime) threadBody(t *thread) {
+// threadBody runs one virtual thread on a pool goroutine, returning once
+// the thread has finished or been killed.
+func (rt *Runtime) threadBody(x *T) {
+	t := x.t
 	<-t.resume
 	rt.noteResumed()
 	defer func() {
@@ -765,7 +785,6 @@ func (rt *Runtime) threadBody(t *thread) {
 	if rt.killed {
 		panic(errKilled)
 	}
-	x := &T{rt: rt, t: t}
 	rt.emit(t, trace.OpBegin, 0, locNone)
 	t.proc(x)
 	rt.emit(t, trace.OpEnd, 0, locNone)
@@ -950,11 +969,15 @@ const locCacheMinSize = 256
 
 // locCache interns source locations keyed by the raw runtime.Callers
 // program counter, so steady-state events never symbolize frames: the
-// CallersFrames + Sprintf + string-intern slow path runs once per distinct
-// call site and per-event capture is one Callers call plus one probe of an
+// name lookup + string-intern slow path runs once per distinct call site
+// and run, and per-event capture is one Callers call plus one probe of an
 // open-addressed table. PCs are inlining-correct keys — each logical call
 // site has a distinct return PC, and CallersFrames expands inlined frames
 // when a PC is first symbolized — which the inlining test pins down.
+//
+// The cache is per run, like the run's string table: a run interns its
+// locations in first-capture order, so its LocIDs do not depend on what
+// other runs captured. Only the PC → name step is shared (symbolName).
 type locCache struct {
 	pcs  []uintptr     // slot keys; 0 marks an empty slot (PCs are never 0)
 	ids  []trace.LocID // slot values, parallel to pcs
@@ -996,18 +1019,44 @@ func (c *locCache) lookup(strs *trace.Strings, pc uintptr) trace.LocID {
 		}
 	}
 	c.miss++
-	id := c.symbolize(strs, pc)
+	id := strs.Intern(symbolName(pc))
 	c.insert(pc, id)
 	return id
 }
 
-// symbolize expands a call-site PC to its interned "file:line" id without
-// consulting the cache — the slow path of lookup.
-func (c *locCache) symbolize(strs *trace.Strings, pc uintptr) trace.LocID {
+// symtab is the process-wide PC → "dir/file.go:line" table behind every
+// run's locCache. A PC's name is fixed for the life of the process, so
+// only the first capture of a call site in the process pays
+// CallersFrames + Sprintf; a replay that starts with a cold locCache
+// finds its names here. The table holds one entry per instrumented call
+// site in the binary, so it is bounded; it is filled lazily, never at
+// package init. A typed map under an RWMutex, not a sync.Map: the
+// read-mostly path is one read lock and one map probe, with no interface
+// boxing of the key.
+var symtab struct {
+	mu    sync.RWMutex
+	names map[uintptr]string
+}
+
+// symbolName returns pc's call-site name, symbolizing it on the process's
+// first request.
+func symbolName(pc uintptr) string {
+	symtab.mu.RLock()
+	name, ok := symtab.names[pc]
+	symtab.mu.RUnlock()
+	if ok {
+		return name
+	}
 	frames := runtime.CallersFrames([]uintptr{pc})
 	f, _ := frames.Next()
-	name := fmt.Sprintf("%s:%d", trimPath(f.File), f.Line)
-	return strs.Intern(name)
+	name = fmt.Sprintf("%s:%d", trimPath(f.File), f.Line)
+	symtab.mu.Lock()
+	if symtab.names == nil {
+		symtab.names = make(map[uintptr]string)
+	}
+	symtab.names[pc] = name
+	symtab.mu.Unlock()
+	return name
 }
 
 // insert adds a new pc→id mapping, doubling the table past 3/4 load so

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/trace"
 )
@@ -23,10 +22,11 @@ type Strategy interface {
 	Reset()
 	// Preempt reports whether to take the baton away after event e.
 	Preempt(e trace.Event) bool
-	// Pick chooses among the runnable thread ids (sorted ascending).
-	// current is the last thread that ran, or -1 at the start; it may or
-	// may not be in runnable. Returning an id not in runnable aborts the
-	// run with ErrReplayDiverged.
+	// Pick chooses among the runnable thread ids, which arrive strictly
+	// ascending (Guided records them as given). current is the last
+	// thread that ran, or -1 at the start; it may or may not be in
+	// runnable. Returning an id not in runnable aborts the run with
+	// ErrReplayDiverged.
 	Pick(runnable []trace.TID, current trace.TID) trace.TID
 }
 
@@ -322,6 +322,28 @@ type Guided struct {
 	events int
 	// Points records (runnable set, choice) at every scheduling point.
 	Points []ChoicePoint
+
+	// arena backs the Runnable copies of this run's Points. Reset drops it
+	// rather than reusing it, because a finished run's Points outlive the
+	// run (the explorers expand them after it returns).
+	arena []trace.TID
+}
+
+// guidedArenaBlock is the TID count of the first arena block of a run;
+// later blocks double. A replay of a small workload (tens of events, a
+// few runnable threads at each) fits in one.
+const guidedArenaBlock = 256
+
+// alloc carves an n-TID Runnable out of the run's arena. The slice is
+// capacity-capped, so an append to one point's Runnable reallocates
+// instead of overwriting the next point's.
+func (s *Guided) alloc(n int) []trace.TID {
+	if cap(s.arena)-len(s.arena) < n {
+		s.arena = make([]trace.TID, 0, max(2*cap(s.arena), guidedArenaBlock, n))
+	}
+	i := len(s.arena)
+	s.arena = s.arena[:i+n]
+	return s.arena[i : i+n : i+n]
 }
 
 // ChoicePoint is one scheduling decision: what was runnable and what ran.
@@ -353,6 +375,7 @@ func (s *Guided) Reset() {
 	s.cursor = 0
 	s.events = 0
 	s.Points = nil
+	s.arena = nil
 }
 
 // Preempt implements Strategy: every event is a scheduling point, so the
@@ -362,7 +385,8 @@ func (s *Guided) Preempt(e trace.Event) bool {
 	return true
 }
 
-// Pick implements Strategy.
+// Pick implements Strategy. The recorded Runnable is a copy of runnable,
+// which Strategy's contract delivers sorted ascending.
 func (s *Guided) Pick(runnable []trace.TID, current trace.TID) trace.TID {
 	var choice trace.TID
 	if s.cursor < len(s.Prefix) {
@@ -373,8 +397,8 @@ func (s *Guided) Pick(runnable []trace.TID, current trace.TID) trace.TID {
 		choice = runnable[0]
 	}
 	s.cursor++
-	cp := ChoicePoint{Runnable: append([]trace.TID(nil), runnable...), Chosen: choice, Current: current, EventIdx: s.events}
-	sort.Slice(cp.Runnable, func(i, j int) bool { return cp.Runnable[i] < cp.Runnable[j] })
+	cp := ChoicePoint{Runnable: s.alloc(len(runnable)), Chosen: choice, Current: current, EventIdx: s.events}
+	copy(cp.Runnable, runnable)
 	s.Points = append(s.Points, cp)
 	return choice
 }
@@ -390,7 +414,7 @@ func (s *Guided) Choose(ready []int) int {
 		choice = int(s.Prefix[s.cursor])
 	}
 	s.cursor++
-	cp := ChoicePoint{Runnable: make([]trace.TID, len(ready)), Chosen: trace.TID(choice), Current: -1, EventIdx: s.events, Select: true}
+	cp := ChoicePoint{Runnable: s.alloc(len(ready)), Chosen: trace.TID(choice), Current: -1, EventIdx: s.events, Select: true}
 	for i, r := range ready {
 		cp.Runnable[i] = trace.TID(r)
 	}

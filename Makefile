@@ -24,8 +24,10 @@ cover:
 
 # Full benchmark sweep. The raw text (benchstat-comparable) is kept in
 # BENCH_latest.txt and a machine-diffable JSON form in BENCH_latest.json.
+# Recorded at one P: at GOMAXPROCS=N>1 go test names each row BenchmarkX-N,
+# and bench-check and the CI gate match rows by name.
 bench:
-	$(GO) test -bench=. -benchmem ./... | tee BENCH_latest.txt
+	$(GO) test -bench=. -benchmem -cpu 1 ./... | tee BENCH_latest.txt
 	$(GO) run ./cmd/benchjson < BENCH_latest.txt > BENCH_latest.json
 
 # One iteration per benchmark — CI smoke test that every benchmark still
@@ -38,7 +40,7 @@ bench-smoke:
 # reported, else ns/op) against the committed BENCH_latest.json. CI runs a
 # faster throughput-only subset of this; see .github/workflows/ci.yml.
 bench-check:
-	$(GO) test -bench=. -benchmem -count=2 ./... | $(GO) run ./cmd/benchjson -compare BENCH_latest.json > /dev/null
+	$(GO) test -bench=. -benchmem -count=2 -cpu 1 ./... | $(GO) run ./cmd/benchjson -compare BENCH_latest.json > /dev/null
 
 # CPU + heap profile of a checker hot loop. Writes cpu.prof / mem.prof and
 # prints the pprof -top summaries. Override the package or benchmark:

@@ -8,8 +8,8 @@
 // committed baseline JSON (exit 1 on regression), which is what the CI
 // regression gate runs:
 //
-//	go test -bench=. -benchmem ./... | go run ./cmd/benchjson > BENCH_latest.json
-//	go test -bench=. -benchmem ./... | go run ./cmd/benchjson -compare BENCH_latest.json > /dev/null
+//	go test -bench=. -benchmem -cpu 1 ./... | go run ./cmd/benchjson > BENCH_latest.json
+//	go test -bench=. -benchmem -cpu 1 ./... | go run ./cmd/benchjson -compare BENCH_latest.json > /dev/null
 //
 // Comparison is per benchmark (matched by package+name) on one primary
 // metric: events/s when both sides report it (higher is better), ns/op
@@ -17,6 +17,9 @@
 // i.e. 10%) in the losing direction is a regression; benchmarks present on
 // only one side are listed but never fail the run, so adding or removing a
 // benchmark does not require regenerating the baseline in the same commit.
+// A run in which no benchmark matched the baseline fails: `go test` names
+// a benchmark BenchmarkX-N at GOMAXPROCS=N>1, so a run at another -cpu
+// than the baseline's (which is recorded at -cpu 1) compares nothing.
 package main
 
 import (
@@ -124,8 +127,9 @@ func mergeBest(in []Result) map[string]Result {
 }
 
 // compare diffs new against base and reports regressions past threshold.
-// It writes a human-readable summary to w and returns the regressed lines.
-func compare(w io.Writer, base, new []Result, threshold float64) []string {
+// It writes a human-readable summary to w and returns the regressed lines
+// and the number of benchmarks compared.
+func compare(w io.Writer, base, new []Result, threshold float64) (regressions []string, compared int) {
 	baseBy := mergeBest(base)
 	newBy := mergeBest(new)
 	keys := make([]string, 0, len(newBy))
@@ -134,7 +138,6 @@ func compare(w io.Writer, base, new []Result, threshold float64) []string {
 	}
 	sort.Strings(keys)
 
-	var regressions []string
 	for _, k := range keys {
 		nr := newBy[k]
 		br, ok := baseBy[k]
@@ -151,6 +154,7 @@ func compare(w io.Writer, base, new []Result, threshold float64) []string {
 		if ov == 0 {
 			continue
 		}
+		compared++
 		change := nv/ov - 1 // signed relative change in the metric
 		verdict := "ok"
 		regressed := false
@@ -174,7 +178,23 @@ func compare(w io.Writer, base, new []Result, threshold float64) []string {
 			fmt.Fprintf(w, "  removed   %-60s (in baseline only)\n", k)
 		}
 	}
-	return regressions
+	return regressions, compared
+}
+
+// gate compares new against base, writing the summary to w, and returns
+// an error when a benchmark regressed past threshold or when not one
+// benchmark could be compared with the baseline.
+func gate(w io.Writer, base, new []Result, threshold float64) error {
+	regressions, compared := compare(w, base, new, threshold)
+	if compared == 0 {
+		return fmt.Errorf("none of %d benchmarks matched the baseline; "+
+			"at GOMAXPROCS=N>1 go test names them BenchmarkX-N, so run at the baseline's -cpu 1", len(new))
+	}
+	if len(regressions) > 0 {
+		return fmt.Errorf("%d of %d benchmark(s) regressed more than %.0f%%:\n  %s",
+			len(regressions), compared, threshold*100, strings.Join(regressions, "\n  "))
+	}
+	return nil
 }
 
 func fatal(err error) {
@@ -211,13 +231,8 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: comparing %d benchmarks against %s (threshold %.0f%%)\n",
 		len(results), *compareWith, *threshold*100)
-	regressions := compare(os.Stderr, base, results, *threshold)
-	if len(regressions) > 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed more than %.0f%%:\n", len(regressions), *threshold*100)
-		for _, l := range regressions {
-			fmt.Fprintln(os.Stderr, " ", l)
-		}
-		os.Exit(1)
+	if err := gate(os.Stderr, base, results, *threshold); err != nil {
+		fatal(err)
 	}
 	fmt.Fprintln(os.Stderr, "benchjson: no regressions")
 }

@@ -73,6 +73,25 @@ func (t *Table[T]) Probe(key uint64) *T {
 	return t.overflow[key]
 }
 
+// Clear empties the table for reuse without giving its memory back: it
+// keeps the pages, zeroes their slots, and empties the overflow map, so
+// every key reads as absent again and a later At allocates nothing on a
+// kept page. Its cost is the table's Footprint, however few slots the last
+// use touched; a caller that reuses a table for many small inputs should
+// drop it once it has grown large.
+func (t *Table[T]) Clear() {
+	for _, p := range t.pages {
+		clear(p)
+	}
+	clear(t.overflow)
+}
+
+// Footprint returns the number of pages in the page directory and the
+// number of overflow keys: the work Clear does.
+func (t *Table[T]) Footprint() (pages, overflow int) {
+	return len(t.pages), len(t.overflow)
+}
+
 // Range calls f for every materialized slot in ascending key order (paged
 // keys first, then overflow keys, which are all larger by construction).
 // Zero-valued slots of materialized pages are included; callers filter by

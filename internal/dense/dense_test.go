@@ -83,3 +83,39 @@ func TestBoundaryAroundMaxDense(t *testing.T) {
 		}
 	}
 }
+
+func TestClearKeepsPages(t *testing.T) {
+	var tb Table[int]
+	*tb.At(3) = 1
+	*tb.At(PageSize + 7) = 2
+	huge := uint64(1)<<32 + 5
+	*tb.At(huge) = 3
+	p := tb.Probe(3)
+	if pages, overflow := tb.Footprint(); pages != 2 || overflow != 1 {
+		t.Fatalf("Footprint = %d pages, %d overflow; want 2, 1", pages, overflow)
+	}
+	tb.Clear()
+	if *tb.Probe(3) != 0 || *tb.Probe(PageSize + 7) != 0 || tb.Probe(huge) != nil {
+		t.Fatal("Clear left a value behind")
+	}
+	if tb.At(3) != p {
+		t.Fatal("Clear dropped a page")
+	}
+	if pages, overflow := tb.Footprint(); pages != 2 || overflow != 0 {
+		t.Fatalf("after Clear, Footprint = %d pages, %d overflow; want 2, 0", pages, overflow)
+	}
+	n := 0
+	tb.Range(func(_ uint64, v *int) {
+		if *v != 0 {
+			n++
+		}
+	})
+	if n != 0 {
+		t.Fatalf("Range after Clear saw %d non-zero slots", n)
+	}
+	var empty Table[int]
+	empty.Clear()
+	if empty.Probe(0) != nil {
+		t.Fatal("Clear materialized a page")
+	}
+}

@@ -19,6 +19,7 @@ package race
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/dense"
 	"repro/internal/trace"
@@ -468,17 +469,68 @@ func (d *Detector) Events() int { return d.events }
 
 // Analyze runs a fresh detector over a complete trace and returns it.
 func Analyze(tr *trace.Trace) *Detector {
-	d := NewSized(tr.Len())
+	d := New()
+	d.analyze(tr)
+	return d
+}
+
+// analyze feeds d a complete trace and publishes its metrics.
+func (d *Detector) analyze(tr *trace.Trace) {
+	d.HintEvents(tr.Len())
 	for _, e := range tr.Events {
 		d.Event(e)
 	}
 	d.FlushMetrics()
-	return d
 }
 
-// RacyVarsOf is a convenience: the racy-variable set of a trace, as a map.
+// pool holds the detectors RacyVarsOf reuses.
+var pool = sync.Pool{New: func() any { return New() }}
+
+// RacyVarsOf returns the racy-variable set of a trace, as a map. It needs
+// no detector afterwards, so it runs one taken from a pool and puts it
+// back, reset, once the set is copied out: a caller that analyzes one
+// short trace per explored schedule allocates the detector's tables once,
+// not once per schedule. The set and the checker.race.* counts are those
+// of a fresh detector.
 func RacyVarsOf(tr *trace.Trace) map[uint64]bool {
-	return Analyze(tr).RacyVarSet()
+	d := pool.Get().(*Detector)
+	d.analyze(tr)
+	out := d.RacyVarSet()
+	if d.reset() {
+		pool.Put(d)
+	}
+	return out
+}
+
+// reset returns d to the state New leaves it in, keeping its tables,
+// arena, and buffers, and reports whether it did. Clearing costs what the
+// tables hold, not what the last trace touched, so a detector that a large
+// trace grew past a table's first page, a page's worth of overflow keys or
+// race reports, or the first arena block is left as it is, for the caller
+// to drop: later small traces never pay to clear its large tables.
+func (d *Detector) reset() bool {
+	small := func(pages, overflow int) bool { return pages <= 1 && overflow <= dense.PageSize }
+	if !small(d.vars.Footprint()) || !small(d.sync.Footprint()) || !small(d.racy.Footprint()) ||
+		len(d.seen.entries) > dense.PageSize || cap(d.arena) > arenaBlock {
+		return false
+	}
+	clear(d.threads)
+	clear(d.arena)
+	d.sync.Clear()
+	d.vars.Clear()
+	d.racy.Clear()
+	d.seen.reset()
+	*d = Detector{
+		threads: d.threads[:0],
+		sync:    d.sync,
+		vars:    d.vars,
+		races:   d.races[:0],
+		seen:    d.seen,
+		racy:    d.racy,
+		onsets:  d.onsets[:0],
+		arena:   d.arena[:0],
+	}
+	return true
 }
 
 // varOnset pairs a racy variable with the event index of its first race.

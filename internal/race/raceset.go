@@ -59,6 +59,12 @@ func (s *raceSet) Add(r Race) bool {
 	return true
 }
 
+// reset empties the set, keeping its backing array.
+func (s *raceSet) reset() {
+	clear(s.entries)
+	s.n = 0
+}
+
 // Len returns the number of distinct keys added.
 func (s *raceSet) Len() int { return s.n }
 

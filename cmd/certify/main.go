@@ -7,7 +7,8 @@
 //
 // Exploration runs under the shared budget flags (-timeout, -max-states,
 // -mem-budget) and SIGINT: a cutoff still prints the partial verdict with
-// the status explaining why, but a truncated space is never CERTIFIED.
+// the status explaining why, but a truncated space is never CERTIFIED. A
+// second SIGINT aborts at once.
 //
 // The shared telemetry flags (-telemetry, -metrics-addr, -progress,
 // -flight) work here as on the checker tools.
@@ -21,13 +22,11 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 
 	"repro/internal/cli"
 	"repro/internal/core"
@@ -70,16 +69,12 @@ func main() {
 		preemptions = flag.Int("preemptions", 2, "preemption bound")
 		maxRuns     = flag.Int("maxruns", 20000, "schedule cap")
 		dpor        = flag.Bool("dpor", false, "conflict-directed exploration (bug hunting) instead of exhaustive")
-		parallel    = flag.Int("parallel", 1, "replay workers for exhaustive mode (output is identical at any value; ignored with -dpor)")
-		timeout     = flag.Duration("timeout", 0, "wall-clock budget; on expiry report partial results with status \"deadline\" (0 = none)")
-		maxStates   = flag.Int64("max-states", 0, "stop after this many instrumented events across all schedules (0 = unlimited)")
 		jsonOut     = flag.Bool("json", false, "print the summary as JSON instead of prose")
 		staticDir   = flag.String("static", "", "also run the static cooperability pass over this source directory; certification then requires static agreement (no findings, no unknowns, no contradicted claims)")
 	)
-	var memBudget cli.ByteSize
-	flag.Var(&memBudget, "mem-budget", "heap budget (e.g. 512MiB); stop with status \"budget-exhausted\" when exceeded (0 = unlimited)")
 	common = cli.NewCommon("certify")
 	common.RegisterTelemetryFlags(flag.CommandLine)
+	common.RegisterBudgetFlags(flag.CommandLine)
 	flag.Parse()
 	if *workload == "" {
 		fatal(fmt.Errorf("-w is required"))
@@ -89,15 +84,9 @@ func main() {
 		fatal(fmt.Errorf("unknown workload %q; available: %v", *workload, workloads.Names()))
 	}
 	common.Workload = *workload
-	if err := common.StartTelemetry(); err != nil {
+	if err := common.Start(); err != nil {
 		fatal(err)
 	}
-
-	// SIGINT cancels the exploration cooperatively; the partial verdict
-	// below still prints. A second SIGINT kills the process (the default
-	// disposition is restored once the context fires, per NotifyContext).
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 
 	explore := sched.Explore
 	mode := "exhaustive"
@@ -113,13 +102,7 @@ func main() {
 		MaxRuns:        *maxRuns,
 		MaxPreemptions: *preemptions,
 		RecordTrace:    true,
-		Parallel:       *parallel,
-		Budget: sched.Budget{
-			Ctx:       ctx,
-			Timeout:   *timeout,
-			MaxStates: *maxStates,
-			MemBudget: int64(memBudget),
-		},
+		Budget:         common.Budget(),
 		Visit: func(res *sched.Result, runErr error) bool {
 			if runErr != nil {
 				// Crashed replays are tallied by rep.Panics; everything else
@@ -239,8 +222,8 @@ func main() {
 	closeCommon()
 }
 
-// common carries the shared telemetry surfaces (-telemetry, -metrics-addr,
-// -progress, -flight); certify keeps its own exploration and budget flags.
+// common carries the shared telemetry and budget flags and the SIGINT
+// handling; certify keeps its own exploration flags.
 var common *cli.Common
 
 // closeCommon flushes the telemetry surfaces on every exit path (Close is

@@ -63,16 +63,8 @@ func BatteryBudget(bud sched.Budget, name string, seeds, threads, size int) ([]*
 	if !ok {
 		return nil, nil, sched.StatusComplete, fmt.Errorf("unknown workload %q; available: %v", name, workloads.Names())
 	}
-	strategies := []sched.Strategy{
-		sched.Cooperative{},
-		&sched.RoundRobin{Quantum: 1},
-		&sched.RoundRobin{Quantum: 5},
-	}
-	for s := 1; s <= seeds; s++ {
-		strategies = append(strategies, sched.NewRandom(int64(s)))
-	}
+	strategies := sched.BatteryStrategies(seeds)
 	tr := sched.StartBudget(bud)
-	defer tr.Stop()
 	status := sched.StatusComplete
 	var ftrack *flight.Track
 	if fr := flight.Active(); fr != nil {

@@ -179,8 +179,8 @@ func (c *Common) Start() error {
 // StartTelemetry brings up only the observability surfaces the flags
 // requested — the -metrics-addr HTTP endpoint, the -progress reporter, and
 // the -flight recorder — without touching signals or the budget context.
-// Tools that own their signal handling (certify, tracedump) call this
-// instead of Start; Close tears everything down either way.
+// Tools that own their signal handling (tracedump) call this instead of
+// Start; Close tears everything down either way.
 func (c *Common) StartTelemetry() error {
 	if c.MetricsAddr != "" {
 		addr, shutdown, err := obs.Serve(c.MetricsAddr, obs.Default)

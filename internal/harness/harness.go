@@ -109,14 +109,7 @@ type Collected struct {
 // keep the canonical strategy order regardless of parallelism.
 func Collect(spec workloads.Spec, cfg Config) (*Collected, error) {
 	cfg.ensurePool()
-	strategies := []sched.Strategy{
-		sched.Cooperative{},
-		&sched.RoundRobin{Quantum: 1},
-		&sched.RoundRobin{Quantum: 5},
-	}
-	for s := 1; s <= cfg.seeds(); s++ {
-		strategies = append(strategies, sched.NewRandom(int64(s)))
-	}
+	strategies := sched.BatteryStrategies(cfg.seeds())
 	runOne := func(strat sched.Strategy, hint int) (*sched.Result, error) {
 		res, err := sched.Run(spec.New(cfg.Threads, cfg.Size), sched.Options{
 			Strategy:    strat,

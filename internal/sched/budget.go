@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -22,8 +21,7 @@ const (
 	// StatusBudget: a resource budget (MaxRuns, MaxStates, or MemBudget)
 	// cut the search off with frontier left unexplored.
 	StatusBudget Status = "budget-exhausted"
-	// StatusDeadline: the wall-clock deadline (Budget.Timeout or a context
-	// deadline) expired.
+	// StatusDeadline: the budget context's deadline expired.
 	StatusDeadline Status = "deadline"
 	// StatusCancelled: the caller's context was cancelled (SIGINT in the
 	// CLI tools).
@@ -36,12 +34,11 @@ const (
 // Budget bounds a long-running exploration. The zero value imposes no
 // bounds beyond ExploreOptions.MaxRuns.
 type Budget struct {
-	// Ctx cancels the search cooperatively: the driver loop checks it
-	// before every visit, and each replay checks it every 1024 events, so
-	// cancellation never leaks goroutines or blocks on a long run.
+	// Ctx cancels the search cooperatively, and its deadline is the
+	// search's wall-clock budget: the search loop checks it before every
+	// visit, and each replay checks it every 1024 events, so cancellation
+	// never leaks goroutines or blocks on a long run.
 	Ctx context.Context
-	// Timeout is a wall-clock deadline layered over Ctx; 0 means none.
-	Timeout time.Duration
 	// MaxStates stops the search once the visited runs have produced this
 	// many instrumented events in total; 0 means unlimited.
 	MaxStates int64
@@ -51,9 +48,8 @@ type Budget struct {
 }
 
 // ExploreReport summarizes an exploration: how far it got and why it
-// stopped. Up to the cutoff the visited sequence is bit-identical to the
-// sequential search's prefix at any worker count, so a partial report is
-// still a deterministic, reusable result.
+// stopped. Up to the cutoff the visited sequence is a prefix of the full
+// search's, so a partial report is still a deterministic, reusable result.
 type ExploreReport struct {
 	// Runs is the number of schedules visited.
 	Runs int
@@ -79,7 +75,7 @@ var ErrCancelled = errors.New("sched: run cancelled")
 // thread (workload body, observer). It is handed to Visit as the run's
 // error, so a crashing schedule is a reported finding, not a process
 // abort, and because replays are deterministic it appears in the same
-// visit slot at any worker count.
+// visit slot on every search.
 type ExploreError struct {
 	// Prefix is the forced-decision prefix whose replay panicked;
 	// re-exploring it reproduces the crash.
@@ -132,7 +128,6 @@ const memCheckEvery = 32
 // battery) share the same cutoff logic through it.
 type BudgetTracker struct {
 	ctx       context.Context
-	cancel    context.CancelFunc
 	runCtx    context.Context // nil when no cancellation source exists
 	maxStates int64
 	memBudget int64
@@ -140,27 +135,16 @@ type BudgetTracker struct {
 	memTick   int
 }
 
-// StartBudget begins tracking b. Call Stop when the search ends to release
-// the deadline timer.
+// StartBudget begins tracking b.
 func StartBudget(b Budget) *BudgetTracker {
-	ctx := b.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	cancel := func() {}
-	hasCancel := b.Ctx != nil
-	if b.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, b.Timeout)
-		hasCancel = true
-	}
 	t := &BudgetTracker{
-		ctx:       ctx,
-		cancel:    cancel,
+		ctx:       b.Ctx,
+		runCtx:    b.Ctx,
 		maxStates: b.MaxStates,
 		memBudget: b.MemBudget,
 	}
-	if hasCancel {
-		t.runCtx = ctx
+	if t.ctx == nil {
+		t.ctx = context.Background()
 	}
 	if b.MaxStates > 0 {
 		mExploreBudgetStates.Set(b.MaxStates)
@@ -210,9 +194,6 @@ func (t *BudgetTracker) CancelStatus() Status {
 	}
 	return StatusCancelled
 }
-
-// Stop releases the tracker's deadline timer.
-func (t *BudgetTracker) Stop() { t.cancel() }
 
 // finishReport settles the final status (a completed search that saw
 // panics degrades to StatusPanic; cutoffs keep their cause) and flushes

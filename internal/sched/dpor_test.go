@@ -248,10 +248,7 @@ func BenchmarkExploreDPORTiny(b *testing.B) {
 // each reports its runs and states to explore.runs / explore.states —
 // deltas equal to the returned report — and publishes its run cap.
 func TestExploreMetricsMatchReport(t *testing.T) {
-	for _, ex := range []struct {
-		name    string
-		explore func(*Program, ExploreOptions) (*ExploreReport, error)
-	}{{"explore", Explore}, {"dpor", ExploreDPOR}} {
+	for _, ex := range explorers {
 		runs0, states0 := mExploreRuns.Load(), mExploreStates.Load()
 		maxRuns := 700 + len(ex.name) // distinct per explorer
 		rep, err := ex.explore(counterProgram(3, 1, false), ExploreOptions{

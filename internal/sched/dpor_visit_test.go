@@ -30,41 +30,49 @@ var dporGoldenExcluded = map[string]bool{
 	"elevator": true, "indexer": true, "pubsub": true, "rwcache": true, "syncbench": true,
 }
 
-// dporGoldenGenCap caps each generated program's search.
-const dporGoldenGenCap = 30
+// genGoldenCap caps each generated program's search, in this golden and
+// in explore.golden.
+const genGoldenCap = 30
+
+// searchRow runs one search with explore and returns its golden row: the
+// report's status, runs, states and abandoned count, and a hash of every
+// visited run's Schedule and Choices (or error text), in visit order.
+func searchRow(t *testing.T, explore func(*sched.Program, sched.ExploreOptions) (*sched.ExploreReport, error), label string, p *sched.Program, bound, maxRuns int) string {
+	t.Helper()
+	h := fnv.New64a()
+	rep, err := explore(p, sched.ExploreOptions{
+		MaxRuns:        maxRuns,
+		MaxPreemptions: bound,
+		Visit: func(res *sched.Result, err error) bool {
+			if err != nil {
+				fmt.Fprintf(h, "err=%q;", err.Error())
+				return true
+			}
+			fmt.Fprintf(h, "%v|%v;", res.Schedule, res.Choices)
+			return true
+		},
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	return fmt.Sprintf("%s status=%s runs=%d states=%d abandoned=%d visits=%016x",
+		label, rep.Status, rep.Runs, rep.States, rep.Abandoned, h.Sum64())
+}
 
 // dporRows runs every golden search and returns its rows, in golden order.
 func dporRows(t *testing.T) []string {
 	t.Helper()
 	var rows []string
-	row := func(label string, p *sched.Program, bound, maxRuns int) {
-		h := fnv.New64a()
-		rep, err := sched.ExploreDPOR(p, sched.ExploreOptions{
-			MaxRuns:        maxRuns,
-			MaxPreemptions: bound,
-			Visit: func(res *sched.Result, err error) bool {
-				if err != nil {
-					fmt.Fprintf(h, "err=%q;", err.Error())
-					return true
-				}
-				fmt.Fprintf(h, "%v|%v;", res.Schedule, res.Choices)
-				return true
-			},
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		rows = append(rows, fmt.Sprintf("%s status=%s runs=%d states=%d abandoned=%d visits=%016x",
-			label, rep.Status, rep.Runs, rep.States, rep.Abandoned, h.Sum64()))
-	}
 	for _, spec := range workloads.All() {
 		if !dporGoldenExcluded[spec.Name] {
-			row(fmt.Sprintf("workload/%s/threads=3/size=1/bound=2", spec.Name), spec.New(3, 1), 2, 20000)
+			rows = append(rows, searchRow(t, sched.ExploreDPOR,
+				fmt.Sprintf("workload/%s/threads=3/size=1/bound=2", spec.Name), spec.New(3, 1), 2, 20000))
 		}
 	}
 	for seed := int64(0); seed < digestGenSeeds; seed++ {
 		for bound := 0; bound <= 2; bound++ {
-			row(fmt.Sprintf("gen/%d/bound=%d", seed, bound), digestGenProgram(seed), bound, dporGoldenGenCap)
+			rows = append(rows, searchRow(t, sched.ExploreDPOR,
+				fmt.Sprintf("gen/%d/bound=%d", seed, bound), digestGenProgram(seed), bound, genGoldenCap))
 		}
 	}
 	return rows
@@ -73,17 +81,28 @@ func dporRows(t *testing.T) []string {
 // TestDPORVisitGolden compares every search's row with the golden.
 func TestDPORVisitGolden(t *testing.T) {
 	got := dporRows(t)
+	compareRows(t, got, readGolden(t, dporGolden, got))
+}
+
+// readGolden returns the rows of the golden at path, rewriting it with got
+// first under -update-golden.
+func readGolden(t *testing.T, path string, got []string) []string {
+	t.Helper()
 	if *updateGolden {
-		if err := os.WriteFile(dporGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return
 	}
-	data, err := os.ReadFile(dporGolden)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (record it with -update-golden)", err)
 	}
-	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+}
+
+// compareRows reports the rows of got that differ from want, up to ten.
+func compareRows(t *testing.T, got, want []string) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%d rows, golden has %d", len(got), len(want))
 	}

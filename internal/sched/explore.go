@@ -26,20 +26,15 @@ type ExploreOptions struct {
 	// RecordTrace forwards to Options.RecordTrace for each run.
 	RecordTrace bool
 	// Observers are fresh-per-run observer factories (checkers keep state,
-	// so each run needs new instances). With Parallel > 1 the factory is
-	// called from multiple goroutines and possibly more often than Visit
-	// (speculative replays past an early stop are discarded), so it must be
-	// safe for concurrent use.
+	// so each run needs new instances). It is called once per replay.
 	Observers func() []Observer
 	// Visit is called after every run with the result; returning false
-	// stops the exploration early. Required. Visit is always invoked from
-	// a single goroutine, in a deterministic order independent of Parallel.
+	// stops the exploration early. Required.
 	Visit func(res *Result, err error) bool
-	// Parallel is the number of OS-parallel replay workers; values <= 1
-	// explore sequentially. Because every forced-decision prefix replays
-	// deterministically on its own Program run, workers only *compute*
-	// results; Visit still observes them in exactly the sequential DFS
-	// order, so output is bit-identical across Parallel values.
+	// Parallel is ignored.
+	//
+	// Deprecated: exploration is sequential. The field stays only until
+	// perfbench's explorer calls, which set it to 1, drop it.
 	Parallel int
 }
 
@@ -48,19 +43,12 @@ type ExploreOptions struct {
 // context bounding, Musuvathi & Qadeer). It returns a report of how far
 // the search got and why it stopped. Program-level errors (deadlocks on
 // some schedule, panics during a replay) are passed to Visit rather than
-// aborting the search; infrastructure errors abort.
-//
-// With opts.Parallel > 1 the replays are fanned out across a work-sharing
-// worker pool (see explore_parallel.go); the visit sequence, run count,
-// and report are identical to the sequential search. When a budget or
-// cancellation cuts the search off, the visited sequence is still exactly
-// a prefix of the sequential search's, and no goroutine outlives the call.
+// aborting the search; infrastructure errors abort. When a budget or
+// cancellation cuts the search off, the visited sequence is a prefix of
+// the full search's, and no goroutine outlives the call.
 func Explore(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 	if opts.Visit == nil {
 		return nil, fmt.Errorf("sched: ExploreOptions.Visit is required")
-	}
-	if opts.Parallel > 1 {
-		return exploreParallel(p, opts)
 	}
 	return exploreDFS(p, &opts, "explore",
 		func(prefix []trace.TID, _ *Result, points []ChoicePoint, push func([]trace.TID), _ *flight.Track) {
@@ -86,7 +74,6 @@ func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc
 	}
 	mExploreMaxRuns.Set(int64(maxRuns))
 	bud := StartBudget(opts.Budget)
-	defer bud.Stop()
 	pool := newThreadPool()
 	defer pool.close()
 	rep := &ExploreReport{Status: StatusComplete}

@@ -13,8 +13,7 @@ import (
 // early: it panics upon seeing the second T1 event while fewer than three
 // T0 events have been observed. The decision depends only on the event
 // stream, so it is a deterministic function of the schedule — exactly the
-// kind of input-dependent checker crash the explorer must isolate — and
-// it behaves identically no matter which worker replays the schedule.
+// kind of input-dependent checker crash the explorer must isolate.
 // These runs are shorter than the default batch, so the panic fires in the
 // final flush on the scheduler goroutine; the tests below pin that it is
 // still reported as a panic.
@@ -36,18 +35,15 @@ func (o *schedulePanicObserver) ObserveBatch(batch []trace.Event) {
 	}
 }
 
-// TestExplorePanickingObserver is the regression test for the parallel
-// engine's fault isolation: before replayTask closed t.done on panic, a
-// crashing observer under Parallel > 1 left the driver blocked forever.
-// Now a crashing schedule must surface as an *ExploreError finding, in the
-// same visit slot at any worker count, with the search still completing.
+// TestExplorePanickingObserver: a crashing schedule surfaces as an
+// *ExploreError finding, in the same visit slot on every search, and the
+// search still completes.
 func TestExplorePanickingObserver(t *testing.T) {
-	run := func(workers int) ([]string, *ExploreReport) {
+	run := func() ([]string, *ExploreReport) {
 		var log []string
 		rep, err := Explore(incrementers(), ExploreOptions{
 			MaxRuns:        4000,
 			MaxPreemptions: 2,
-			Parallel:       workers,
 			Observers:      func() []Observer { return []Observer{&schedulePanicObserver{}} },
 			Visit: func(res *Result, err error) bool {
 				if err != nil {
@@ -63,26 +59,24 @@ func TestExplorePanickingObserver(t *testing.T) {
 		}
 		return log, rep
 	}
-	seqLog, seqRep := run(1)
-	if seqRep.Panics == 0 {
+	log, rep := run()
+	if rep.Panics == 0 {
 		t.Fatal("no schedule triggered the observer panic; the fixture is broken")
 	}
-	if seqRep.Panics >= seqRep.Runs {
+	if rep.Panics >= rep.Runs {
 		t.Fatalf("every run panicked (%d of %d); fixture should mix crashing and clean schedules",
-			seqRep.Panics, seqRep.Runs)
+			rep.Panics, rep.Runs)
 	}
-	if seqRep.Status != StatusPanic {
-		t.Fatalf("status = %s, want %s for a completed search with panics", seqRep.Status, StatusPanic)
+	if rep.Status != StatusPanic {
+		t.Fatalf("status = %s, want %s for a completed search with panics", rep.Status, StatusPanic)
 	}
-	for _, workers := range []int{2, 4} {
-		parLog, parRep := run(workers)
-		if parRep.Runs != seqRep.Runs || parRep.Panics != seqRep.Panics || parRep.Status != seqRep.Status {
-			t.Fatalf("parallel=%d: report %+v != sequential %+v", workers, parRep, seqRep)
-		}
-		for i := range seqLog {
-			if parLog[i] != seqLog[i] {
-				t.Fatalf("parallel=%d: visit %d differs:\n  seq %s\n  par %s", workers, i, seqLog[i], parLog[i])
-			}
+	again, rep2 := run()
+	if *rep2 != *rep {
+		t.Fatalf("second search: report %+v != first %+v", rep2, rep)
+	}
+	for i := range log {
+		if again[i] != log[i] {
+			t.Fatalf("visit %d differs between searches:\n  first  %s\n  second %s", i, log[i], again[i])
 		}
 	}
 }
@@ -125,95 +119,70 @@ func TestExplorePanicErrorShape(t *testing.T) {
 	}
 }
 
-// TestExploreObserverFactoryPanic: a panic on the worker side of a replay
-// (the factory runs before the virtual program starts) used to escape
-// replayTask without closing t.done, deadlocking the parallel driver.
+// TestExploreObserverFactoryPanic: a panic in the observer factory, which
+// runs before the virtual program starts, is a finding too.
 func TestExploreObserverFactoryPanic(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		rep, err := Explore(incrementers(), ExploreOptions{
-			MaxRuns:        100,
-			MaxPreemptions: 2,
-			Parallel:       workers,
-			Observers:      func() []Observer { panic("factory exploded") },
-			Visit: func(res *Result, err error) bool {
-				if _, ok := err.(*ExploreError); !ok { //nolint:errorlint
-					t.Errorf("visit err = %v, want *ExploreError", err)
-				}
-				return true
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Runs != 1 || rep.Panics != 1 {
-			t.Fatalf("parallel=%d: report %+v, want 1 run, 1 panic", workers, rep)
-		}
-		if rep.Status != StatusPanic {
-			t.Fatalf("parallel=%d: status = %s, want %s", workers, rep.Status, StatusPanic)
-		}
+	rep, err := Explore(incrementers(), ExploreOptions{
+		MaxRuns:        100,
+		MaxPreemptions: 2,
+		Observers:      func() []Observer { panic("factory exploded") },
+		Visit: func(res *Result, err error) bool {
+			if _, ok := err.(*ExploreError); !ok { //nolint:errorlint
+				t.Errorf("visit err = %v, want *ExploreError", err)
+			}
+			return true
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Runs != 1 || rep.Panics != 1 {
+		t.Fatalf("report %+v, want 1 run, 1 panic", rep)
+	}
+	if rep.Status != StatusPanic {
+		t.Fatalf("status = %s, want %s", rep.Status, StatusPanic)
 	}
 }
 
-// TestExploreMaxStatesPrefix: a state-budget cutoff yields exactly a prefix
-// of the sequential visit sequence at any worker count — the tentpole
-// partial-result determinism property.
+// TestExploreMaxStatesPrefix: a state-budget cutoff visits exactly a
+// prefix of the full search's visit sequence, the partial-result
+// determinism property.
 func TestExploreMaxStatesPrefix(t *testing.T) {
 	base := ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2}
-	fullLog, fullRuns := visitLog(t, incrementers, base)
+	fullLog, fullRuns := visitLog(t, Explore, incrementers, base)
 	if fullRuns < 4 {
 		t.Fatalf("fixture explores only %d runs", fullRuns)
 	}
 	// Enough states for a few runs but nowhere near all of them.
 	var budget int64 = 40
-	var want []string
-	for _, workers := range []int{1, 2, 4} {
-		opts := base
-		opts.Parallel = workers
-		opts.Budget = Budget{MaxStates: budget}
-		log, runs := visitLog(t, incrementers, opts)
-		// visitLog fatals on an infrastructure error; re-run the report
-		// checks through a direct call to keep the report visible.
-		rep, err := Explore(incrementers(), func() ExploreOptions {
-			o := opts
-			o.Visit = func(*Result, error) bool { return true }
-			return o
-		}())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Status != StatusBudget {
-			t.Fatalf("parallel=%d: status = %s, want %s", workers, rep.Status, StatusBudget)
-		}
-		if runs != rep.Runs {
-			t.Fatalf("parallel=%d: visitLog runs %d vs report %d (replays are not deterministic?)", workers, runs, rep.Runs)
-		}
-		if rep.Runs == 0 || rep.Runs >= fullRuns {
-			t.Fatalf("parallel=%d: %d runs under budget, full search has %d", workers, rep.Runs, fullRuns)
-		}
-		if rep.Abandoned == 0 {
-			t.Fatalf("parallel=%d: cutoff left Abandoned = 0", workers)
-		}
-		if rep.States < budget {
-			t.Fatalf("parallel=%d: stopped at %d states before the %d budget", workers, rep.States, budget)
-		}
-		if workers == 1 {
-			want = log
-			// The budgeted sequential log must be an exact prefix of the
-			// unbudgeted search's visit sequence.
-			for i := range want {
-				if want[i] != fullLog[i] {
-					t.Fatalf("budgeted visit %d is not the full search's prefix", i)
-				}
-			}
-			continue
-		}
-		if len(log) != len(want) {
-			t.Fatalf("parallel=%d: %d visits vs sequential %d", workers, len(log), len(want))
-		}
-		for i := range want {
-			if log[i] != want[i] {
-				t.Fatalf("parallel=%d: visit %d differs under cutoff", workers, i)
-			}
+	opts := base
+	opts.Budget = Budget{MaxStates: budget}
+	log, runs := visitLog(t, Explore, incrementers, opts)
+	// visitLog fatals on an infrastructure error; re-run the report checks
+	// through a direct call to keep the report visible.
+	opts.Visit = func(*Result, error) bool { return true }
+	rep, err := Explore(incrementers(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Status != StatusBudget {
+		t.Fatalf("status = %s, want %s", rep.Status, StatusBudget)
+	}
+	if runs != rep.Runs {
+		t.Fatalf("visitLog runs %d vs report %d (replays are not deterministic?)", runs, rep.Runs)
+	}
+	if rep.Runs == 0 || rep.Runs >= fullRuns {
+		t.Fatalf("%d runs under budget, full search has %d", rep.Runs, fullRuns)
+	}
+	if rep.Abandoned == 0 {
+		t.Fatal("cutoff left Abandoned = 0")
+	}
+	if rep.States < budget {
+		t.Fatalf("stopped at %d states before the %d budget", rep.States, budget)
+	}
+	for i := range log {
+		if log[i] != fullLog[i] {
+			t.Fatalf("budgeted visit %d is not the full search's prefix", i)
 		}
 	}
 }
@@ -223,66 +192,59 @@ func TestExploreMaxStatesPrefix(t *testing.T) {
 func TestExplorePreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 4} {
-		rep, err := Explore(incrementers(), ExploreOptions{
-			MaxRuns:        100,
-			MaxPreemptions: 2,
-			Parallel:       workers,
-			Budget:         Budget{Ctx: ctx},
-			Visit: func(*Result, error) bool {
-				t.Error("Visit called under a pre-cancelled context")
-				return false
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Runs != 0 || rep.Status != StatusCancelled || rep.Abandoned == 0 {
-			t.Fatalf("parallel=%d: report %+v, want 0 runs, cancelled, abandoned > 0", workers, rep)
-		}
+	rep, err := Explore(incrementers(), ExploreOptions{
+		MaxRuns:        100,
+		MaxPreemptions: 2,
+		Budget:         Budget{Ctx: ctx},
+		Visit: func(*Result, error) bool {
+			t.Error("Visit called under a pre-cancelled context")
+			return false
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Runs != 0 || rep.Status != StatusCancelled || rep.Abandoned == 0 {
+		t.Fatalf("report %+v, want 0 runs, cancelled, abandoned > 0", rep)
 	}
 }
 
 // TestExploreCancelDuringVisit: cancellation raised by the Visit callback
-// itself lands on the very next driver check, so the visit count is
-// deterministic at any worker count even though workers may be mid-replay.
+// itself lands on the very next check, so the visit count is exact.
 func TestExploreCancelDuringVisit(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		visits := 0
-		rep, err := Explore(incrementers(), ExploreOptions{
-			MaxRuns:        4000,
-			MaxPreemptions: 2,
-			Parallel:       workers,
-			Budget:         Budget{Ctx: ctx},
-			Visit: func(*Result, error) bool {
-				visits++
-				if visits == 3 {
-					cancel()
-				}
-				return true
-			},
-		})
-		cancel()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if visits != 3 || rep.Runs != 3 {
-			t.Fatalf("parallel=%d: visits=%d runs=%d, want exactly 3", workers, visits, rep.Runs)
-		}
-		if rep.Status != StatusCancelled {
-			t.Fatalf("parallel=%d: status = %s, want %s", workers, rep.Status, StatusCancelled)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	visits := 0
+	rep, err := Explore(incrementers(), ExploreOptions{
+		MaxRuns:        4000,
+		MaxPreemptions: 2,
+		Budget:         Budget{Ctx: ctx},
+		Visit: func(*Result, error) bool {
+			visits++
+			if visits == 3 {
+				cancel()
+			}
+			return true
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if visits != 3 || rep.Runs != 3 {
+		t.Fatalf("visits=%d runs=%d, want exactly 3", visits, rep.Runs)
+	}
+	if rep.Status != StatusCancelled {
+		t.Fatalf("status = %s, want %s", rep.Status, StatusCancelled)
 	}
 }
 
-// TestExploreDeadline: a wall-clock budget ends a large search with the
+// TestExploreDeadline: a context deadline ends a large search with the
 // deadline status rather than an error.
 func TestExploreDeadline(t *testing.T) {
 	rep, err := Explore(counterProgram(2, 60, true), ExploreOptions{
 		MaxRuns:        1_000_000,
 		MaxPreemptions: 2,
-		Budget:         Budget{Timeout: time.Millisecond},
+		Budget:         Budget{Ctx: deadlineCtx(t, time.Millisecond)},
 		Visit:          func(*Result, error) bool { return true },
 	})
 	if err != nil {
@@ -294,7 +256,7 @@ func TestExploreDeadline(t *testing.T) {
 }
 
 // TestExploreMemBudget: an unmeetable heap budget stops the search at the
-// first driver check (the heap always exceeds one byte).
+// first budget check (the heap always exceeds one byte).
 func TestExploreMemBudget(t *testing.T) {
 	rep, err := Explore(incrementers(), ExploreOptions{
 		MaxRuns:        100,
@@ -327,6 +289,14 @@ func TestExploreMaxRunsStatus(t *testing.T) {
 	if rep.Runs != 3 || rep.Status != StatusBudget || rep.Abandoned == 0 {
 		t.Fatalf("report %+v, want 3 runs, %s, abandoned > 0", rep, StatusBudget)
 	}
+}
+
+// deadlineCtx returns a context whose deadline is d from now, cancelled
+// when t ends.
+func deadlineCtx(t *testing.T, d time.Duration) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	t.Cleanup(cancel)
+	return ctx
 }
 
 // TestContextStatus pins the error→status mapping.

@@ -10,9 +10,8 @@ import (
 )
 
 // requireNoGoroutineLeak runs f and fails if the process goroutine count
-// has not returned to its baseline shortly after: every worker, replayed
-// virtual thread, and frontier waiter must be gone when Explore returns,
-// on every exit path.
+// has not returned to its baseline shortly after: every replayed virtual
+// thread must be gone when the search returns, on every exit path.
 func requireNoGoroutineLeak(t *testing.T, f func()) {
 	t.Helper()
 	base := runtime.NumGoroutine()
@@ -88,43 +87,44 @@ func deadlineInsideLocks() *Program {
 // TestExploreNoGoroutineLeak covers every way a search can end — clean
 // completion, early stop, each budget cutoff, cancellation, replay panics,
 // including thread panics recovered on pooled goroutines, and runs killed
-// while threads are inside WithLock bodies — under
-// Explore at both worker counts and under ExploreDPOR, asserting no
-// goroutine outlives the call.
+// while threads are inside WithLock bodies — under Explore and
+// ExploreDPOR, asserting no goroutine outlives the call. The parallel=N
+// subtests run Explore with the deprecated ExploreOptions.Parallel set to
+// N, as perfbench still sets it: the ignored field must start no worker.
 func TestExploreNoGoroutineLeak(t *testing.T) {
 	scenarios := []struct {
 		name string
-		opts func() ExploreOptions
+		opts func(t *testing.T) ExploreOptions
 	}{
-		{"complete", func() ExploreOptions {
+		{"complete", func(*testing.T) ExploreOptions {
 			return ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2,
 				Visit: func(*Result, error) bool { return true }}
 		}},
-		{"early-stop", func() ExploreOptions {
+		{"early-stop", func(*testing.T) ExploreOptions {
 			visits := 0
 			return ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2,
 				Visit: func(*Result, error) bool { visits++; return visits < 3 }}
 		}},
-		{"max-runs", func() ExploreOptions {
+		{"max-runs", func(*testing.T) ExploreOptions {
 			return ExploreOptions{MaxRuns: 2, MaxPreemptions: 2,
 				Visit: func(*Result, error) bool { return true }}
 		}},
-		{"max-states", func() ExploreOptions {
+		{"max-states", func(*testing.T) ExploreOptions {
 			return ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2,
 				Budget: Budget{MaxStates: 30},
 				Visit:  func(*Result, error) bool { return true }}
 		}},
-		{"mem-budget", func() ExploreOptions {
+		{"mem-budget", func(*testing.T) ExploreOptions {
 			return ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2,
 				Budget: Budget{MemBudget: 1},
 				Visit:  func(*Result, error) bool { return true }}
 		}},
-		{"deadline", func() ExploreOptions {
+		{"deadline", func(t *testing.T) ExploreOptions {
 			return ExploreOptions{MaxRuns: 1_000_000, MaxPreemptions: 2,
-				Budget: Budget{Timeout: time.Millisecond},
+				Budget: Budget{Ctx: deadlineCtx(t, time.Millisecond)},
 				Visit:  func(*Result, error) bool { return true }}
 		}},
-		{"cancel-mid-search", func() ExploreOptions {
+		{"cancel-mid-search", func(*testing.T) ExploreOptions {
 			ctx, cancel := context.WithCancel(context.Background())
 			visits := 0
 			return ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2,
@@ -137,27 +137,27 @@ func TestExploreNoGoroutineLeak(t *testing.T) {
 					return true
 				}}
 		}},
-		{"observer-panic", func() ExploreOptions {
+		{"observer-panic", func(*testing.T) ExploreOptions {
 			return ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2,
 				Observers: func() []Observer { return []Observer{&schedulePanicObserver{}} },
 				Visit:     func(*Result, error) bool { return true }}
 		}},
-		{"factory-panic", func() ExploreOptions {
+		{"factory-panic", func(*testing.T) ExploreOptions {
 			return ExploreOptions{MaxRuns: 100, MaxPreemptions: 2,
 				Observers: func() []Observer { panic("factory exploded") },
 				Visit:     func(*Result, error) bool { return true }}
 		}},
-		{"thread-panic", func() ExploreOptions {
+		{"thread-panic", func(*testing.T) ExploreOptions {
 			return ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2,
 				Visit: func(*Result, error) bool { return true }}
 		}},
-		{"lock-order-deadlock", func() ExploreOptions {
+		{"lock-order-deadlock", func(*testing.T) ExploreOptions {
 			return ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2,
 				Visit: func(*Result, error) bool { return true }}
 		}},
-		{"deadline-in-lock", func() ExploreOptions {
+		{"deadline-in-lock", func(t *testing.T) ExploreOptions {
 			return ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2,
-				Budget: Budget{Timeout: time.Millisecond},
+				Budget: Budget{Ctx: deadlineCtx(t, time.Millisecond)},
 				Visit:  func(*Result, error) bool { return true }}
 		}},
 	}
@@ -197,14 +197,14 @@ func TestExploreNoGoroutineLeak(t *testing.T) {
 				}
 			})
 		}
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/parallel=%d", sc.name, workers), func(t *testing.T) {
-				opts := sc.opts()
-				opts.Parallel = workers
+		for _, parallel := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/parallel=%d", sc.name, parallel), func(t *testing.T) {
+				opts := sc.opts(t)
+				opts.Parallel = parallel
 				search(t, Explore, opts)
 			})
 		}
-		t.Run(sc.name+"/dpor", func(t *testing.T) { search(t, ExploreDPOR, sc.opts()) })
+		t.Run(sc.name+"/dpor", func(t *testing.T) { search(t, ExploreDPOR, sc.opts(t)) })
 	}
 }
 

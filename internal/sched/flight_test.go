@@ -7,15 +7,14 @@ import (
 	"repro/internal/trace"
 )
 
-// exploreBoth runs the same exploration with the flight recorder enabled
-// and disabled, returning the recording plus both visit sequences.
-func exploreBoth(t *testing.T, parallel int) (flight.Recording, *ExploreReport, []int, []int) {
+// exploreBoth runs the same search with the flight recorder enabled and
+// disabled, returning the recording plus both visit sequences.
+func exploreBoth(t *testing.T, explore func(*Program, ExploreOptions) (*ExploreReport, error)) (flight.Recording, *ExploreReport, []int, []int) {
 	t.Helper()
-	explore := func() (*ExploreReport, []int) {
+	search := func() (*ExploreReport, []int) {
 		var visits []int
-		rep, err := Explore(counterProgram(2, 2, true), ExploreOptions{
+		rep, err := explore(counterProgram(2, 2, true), ExploreOptions{
 			MaxPreemptions: 1,
-			Parallel:       parallel,
 			Visit: func(res *Result, err error) bool {
 				if err != nil {
 					t.Fatalf("replay error: %v", err)
@@ -30,9 +29,9 @@ func exploreBoth(t *testing.T, parallel int) (flight.Recording, *ExploreReport, 
 		return rep, visits
 	}
 	flight.Enable(flight.Options{})
-	rep, withRec := explore()
+	rep, withRec := search()
 	r := flight.Disable()
-	_, without := explore()
+	_, without := search()
 	return r.Snapshot(), rep, withRec, without
 }
 
@@ -50,66 +49,45 @@ func countSpans(rec flight.Recording, name string) int {
 }
 
 func TestExploreFlightSpans(t *testing.T) {
-	rec, rep, withRec, without := exploreBoth(t, 1)
-	if len(withRec) != len(without) {
-		t.Fatalf("recorder changed the visit count: %d vs %d", len(withRec), len(without))
+	checkSearchSpans(t, Explore, "explore")
+}
+
+// TestExploreParallelFlightFlows checks ExploreDPOR's recording as
+// TestExploreFlightSpans checks Explore's.
+func TestExploreParallelFlightFlows(t *testing.T) {
+	checkSearchSpans(t, ExploreDPOR, "explore-dpor")
+}
+
+// checkSearchSpans checks one search's recording: the recorder leaves the
+// visit sequence unchanged, the search has one span named span, ended
+// with the report's status, and every run has one schedule span.
+func checkSearchSpans(t *testing.T, explore func(*Program, ExploreOptions) (*ExploreReport, error), span string) {
+	t.Helper()
+	rec, rep, withRec, without := exploreBoth(t, explore)
+	if len(withRec) != rep.Runs || len(without) != rep.Runs {
+		t.Fatalf("visits %d with the recorder, %d without, for %d runs", len(withRec), len(without), rep.Runs)
 	}
 	for i := range withRec {
 		if withRec[i] != without[i] {
 			t.Fatalf("recorder changed visit %d: %d vs %d events", i, withRec[i], without[i])
 		}
 	}
-	if got := countSpans(rec, "explore"); got != 1 {
-		t.Fatalf("explore spans = %d, want 1", got)
+	if got := countSpans(rec, span); got != 1 {
+		t.Fatalf("%s spans = %d, want 1", span, got)
 	}
 	if got := countSpans(rec, "schedule"); got != rep.Runs {
 		t.Fatalf("schedule spans = %d, want %d (one per run)", got, rep.Runs)
 	}
-	// The explore span's end is annotated with the report status.
 	var endStr string
 	for _, tr := range rec.Tracks {
 		for _, e := range tr.Events {
-			if e.Kind == flight.KindEnd && e.Name == "explore" {
+			if e.Kind == flight.KindEnd && e.Name == span {
 				endStr = e.Str
 			}
 		}
 	}
 	if endStr != string(rep.Status) {
-		t.Fatalf("explore end note = %q, want %q", endStr, rep.Status)
-	}
-}
-
-func TestExploreParallelFlightFlows(t *testing.T) {
-	rec, rep, withRec, without := exploreBoth(t, 4)
-	if len(withRec) != len(without) || len(withRec) != rep.Runs {
-		t.Fatalf("visits %d/%d vs runs %d", len(withRec), len(without), rep.Runs)
-	}
-	if got := countSpans(rec, "schedule"); got != rep.Runs {
-		t.Fatalf("driver schedule spans = %d, want %d", got, rep.Runs)
-	}
-	// Every task push emits a steal flow origin — deterministically one per
-	// run plus the abandoned frontier (zero here, search ran to completion).
-	flowOuts := 0
-	for _, tr := range rec.Tracks {
-		for _, e := range tr.Events {
-			if e.Kind == flight.KindFlowOut && e.Name == "steal" {
-				flowOuts++
-			}
-		}
-	}
-	if flowOuts != rep.Runs {
-		t.Fatalf("steal flow origins = %d, want %d", flowOuts, rep.Runs)
-	}
-	// Worker replays, when they happened, land on worker tracks as "replay"
-	// spans consuming the flow; the driver track must exist regardless.
-	found := false
-	for _, tr := range rec.Tracks {
-		if tr.Name == "explore-driver" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no explore-driver track recorded")
+		t.Fatalf("%s end note = %q, want %q", span, endStr, rep.Status)
 	}
 }
 

@@ -11,11 +11,8 @@ var (
 	mExploreRuns     = obs.Default.Counter("explore.runs")
 	mExploreStates   = obs.Default.Counter("explore.states")
 	mExploreReplays  = obs.Default.Counter("explore.replays")
-	mExploreSteals   = obs.Default.Counter("explore.steals")
 	mExploreFrontier = obs.Default.Gauge("explore.frontier.hwm")
 	mExploreMaxRuns  = obs.Default.Gauge("explore.max_runs")
-	mWorkerBusyNs    = obs.Default.Counter("explore.worker.busy_ns")
-	mWorkerIdleNs    = obs.Default.Counter("explore.worker.idle_ns")
 
 	// Fault-tolerance telemetry (DESIGN.md "Fault tolerance & budgets"):
 	// cutoff causes are counted once per exploration, panics once per

@@ -133,6 +133,17 @@ type Random struct {
 // probability.
 func NewRandom(seed int64) *Random { return &Random{SeedVal: seed} }
 
+// BatteryStrategies returns the standard schedule battery, fresh:
+// cooperative, round-robin with quantum 1 and 5, then random schedules
+// with seeds 1 through seeds.
+func BatteryStrategies(seeds int) []Strategy {
+	strategies := []Strategy{Cooperative{}, &RoundRobin{Quantum: 1}, &RoundRobin{Quantum: 5}}
+	for s := 1; s <= seeds; s++ {
+		strategies = append(strategies, NewRandom(int64(s)))
+	}
+	return strategies
+}
+
 // Name implements Strategy.
 func (s *Random) Name() string { return fmt.Sprintf("random(p=%g)", s.prob()) }
 

@@ -98,20 +98,9 @@ func Run(p *Program, s Strategy) (*Trace, error) {
 // battery executes the standard schedule battery: cooperative, round-robin
 // 1 and 5, and `seeds` random schedules.
 func battery(p func() *Program, seeds int) ([]*trace.Trace, *sched.Result, error) {
-	if seeds < 0 {
-		seeds = 0
-	}
-	strategies := []sched.Strategy{
-		sched.Cooperative{},
-		&sched.RoundRobin{Quantum: 1},
-		&sched.RoundRobin{Quantum: 5},
-	}
-	for s := 1; s <= seeds; s++ {
-		strategies = append(strategies, sched.NewRandom(int64(s)))
-	}
 	var traces []*trace.Trace
 	var last *sched.Result
-	for _, strat := range strategies {
+	for _, strat := range sched.BatteryStrategies(seeds) {
 		res, err := sched.Run(p(), sched.Options{Strategy: strat, RecordTrace: true})
 		if err != nil {
 			return nil, nil, fmt.Errorf("repro: %s schedule: %w", strat.Name(), err)
@@ -329,9 +318,10 @@ func Explore(p *Program, maxRuns, maxPreemptions int, visit func(tr *Trace, err 
 
 // ExploreReduced is Explore with dynamic partial-order reduction: it
 // re-runs only where the observed traces exhibit cross-thread conflicts,
-// typically visiting far fewer schedules while still distinguishing every
-// conflict-inequivalent outcome. Prefer it for bug hunting; prefer Explore
-// (exhaustive within the bound) for certification.
+// typically visiting far fewer schedules. It is a bug-hunting heuristic,
+// not a complete search: it never reaches an outcome Explore misses, but
+// it can miss outcomes that Explore reaches. Prefer it for bug hunting;
+// prefer Explore (exhaustive within the bound) for certification.
 func ExploreReduced(p *Program, maxRuns, maxPreemptions int, visit func(tr *Trace, err error) bool) (int, error) {
 	rep, err := sched.ExploreDPOR(p, sched.ExploreOptions{
 		MaxRuns:        maxRuns,

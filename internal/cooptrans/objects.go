@@ -123,7 +123,7 @@ func (tr *translator) declareVar(name *ast.Ident, init ast.Expr) {
 	if !ok {
 		return
 	}
-	tr.groups[obj] = tr.classify(obj.Type(), static.PathKeyID(obj, ""), name.Name, init, name.Pos())
+	tr.groups[obj] = tr.classify(obj.Type(), static.PathKeyID(tr.u.Fset, obj, ""), name.Name, init, name.Pos())
 }
 
 // groupFor returns the compile-time group of a package-level variable,
@@ -133,7 +133,7 @@ func (tr *translator) groupFor(obj *types.Var) *group {
 	if g, ok := tr.groups[obj]; ok {
 		return g
 	}
-	g := tr.classify(obj.Type(), static.PathKeyID(obj, ""), obj.Name(), nil, obj.Pos())
+	g := tr.classify(obj.Type(), static.PathKeyID(tr.u.Fset, obj, ""), obj.Name(), nil, obj.Pos())
 	tr.groups[obj] = g
 	return g
 }
@@ -347,7 +347,7 @@ func (tr *translator) pathKeyOf(e ast.Expr) (string, bool) {
 	switch x := e.(type) {
 	case *ast.Ident:
 		if v, ok := tr.u.Info.Uses[x].(*types.Var); ok && isPackageLevel(v) {
-			return static.PathKeyID(v, ""), true
+			return static.PathKeyID(tr.u.Fset, v, ""), true
 		}
 	case *ast.SelectorExpr:
 		base, ok := tr.pathKeyOf(x.X)

@@ -135,12 +135,12 @@ func (it *interp) storageKey(o *types.Var) (key, bool) {
 	switch {
 	case kk == kindVar || kk == kindMutex:
 		multi := isCollection(o.Type())
-		k := pathKey(kk, o, "", multi)
+		k := pathKey(it.an.fset, kk, o, "", multi)
 		return k, o.Pkg() != nil
 	case kk == kindVolatile:
-		return pathKey(kindVolatile, o, "", false), o.Pkg() != nil
+		return pathKey(it.an.fset, kindVolatile, o, "", false), o.Pkg() != nil
 	case pkgLevel && isPlainShared(o.Type()):
-		return pathKey(kindPlainVar, o, "", false), true
+		return pathKey(it.an.fset, kindPlainVar, o, "", false), true
 	}
 	return key{}, false
 }

@@ -367,11 +367,13 @@ func (it *interp) create(kind creatorKind, call *ast.CallExpr) binding {
 
 // ---- inlining and sub-roots ---------------------------------------------
 
-func inlineID(fobj *types.Func, lit *ast.FuncLit) string {
+// inlineID names a callee on the inlining stack: a declared function by
+// its full name, a literal by its package and position.
+func (a *analysis) inlineID(fobj *types.Func, lit *ast.FuncLit) string {
 	if fobj != nil {
 		return fobj.FullName()
 	}
-	return fmt.Sprintf("lit@%d", lit.Pos())
+	return a.filePkgs[a.fset.File(lit.Pos())] + ".lit@" + filePos(a.fset.Position(lit.Pos()))
 }
 
 // inline interprets a callee body in the caller's transaction context:
@@ -380,7 +382,7 @@ func inlineID(fobj *types.Func, lit *ast.FuncLit) string {
 func (it *interp) inline(fobj *types.Func, lit *ast.FuncLit, captured *env,
 	decl *ast.FuncDecl, recvB binding, args []binding, call *ast.CallExpr) binding {
 
-	id := inlineID(fobj, lit)
+	id := it.an.inlineID(fobj, lit)
 	for _, s := range it.stack {
 		if s == id {
 			it.unknown("recursive call to " + id)
@@ -481,7 +483,7 @@ func (it *interp) subRoot(fn binding, args []binding, label string) {
 	if fn.fn != nil {
 		lit := fn.fn.(*ast.FuncLit)
 		body, ftype, captured = lit.Body, lit.Type, fn.env
-		id = inlineID(nil, lit)
+		id = it.an.inlineID(nil, lit)
 	} else if fn.fobj != nil {
 		decl, ok := it.an.decls[fn.fobj]
 		if !ok || decl.Body == nil {
@@ -489,7 +491,7 @@ func (it *interp) subRoot(fn binding, args []binding, label string) {
 			return
 		}
 		body, ftype = decl.Body, decl.Type
-		id = inlineID(fn.fobj, nil)
+		id = it.an.inlineID(fn.fobj, nil)
 	} else {
 		it.unknown("forks unresolved function (" + label + ")")
 		return

@@ -6,6 +6,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"path/filepath"
 )
 
 // A key names a static equivalence class of runtime objects: a shared
@@ -153,14 +154,21 @@ func freshKey(kind keyKind, inst string, pos token.Position, label string, multi
 	return key{id: id, kind: kind, multi: multi}
 }
 
+// filePos renders a position as "file.go:line:column" for ids that already
+// name their package. A FileSet offset would do as an id too, but it
+// changes with whatever else the universe loaded before the file.
+func filePos(p token.Position) string {
+	return fmt.Sprintf("%s:%d:%d", filepath.Base(p.Filename), p.Line, p.Column)
+}
+
 // pathKey names storage reached from a stable root object: package-level
 // variables keep their qualified name; parameters and receivers embed the
 // declaration position so same-named parameters of different functions
 // stay distinct classes.
-func pathKey(kind keyKind, root types.Object, path string, multi bool) key {
+func pathKey(fset *token.FileSet, kind keyKind, root types.Object, path string, multi bool) key {
 	id := fmt.Sprintf("%s.%s", root.Pkg().Path(), root.Name())
 	if v, ok := root.(*types.Var); ok && v.Parent() != v.Pkg().Scope() {
-		id = fmt.Sprintf("%s@%d", id, root.Pos())
+		id += "@" + filePos(fset.Position(root.Pos()))
 	}
 	if path != "" {
 		id += "/" + path

@@ -38,7 +38,9 @@ type loader struct {
 	// module (targets and module imports), so the interpreter can inline
 	// helpers across package boundaries.
 	declsByObj map[*types.Func]*ast.FuncDecl
-	typeErrs   []error
+	// filePkgs maps every parsed file to its package's import path.
+	filePkgs map[*token.File]string
+	typeErrs []error
 }
 
 func newLoader() *loader {
@@ -55,6 +57,7 @@ func newLoader() *loader {
 		std:        importer.ForCompiler(fset, "source", nil),
 		cache:      map[string]*types.Package{},
 		declsByObj: map[*types.Func]*ast.FuncDecl{},
+		filePkgs:   map[*token.File]string{},
 	}
 }
 
@@ -151,6 +154,9 @@ func (l *loader) check(importPath, dir string, target bool) (*types.Package, []*
 			return nil, nil, err
 		}
 		l.indexDecls(files)
+		for _, f := range files {
+			l.filePkgs[l.fset.File(f.Pos())] = importPath
+		}
 		if first == nil {
 			first = pkg
 		}

@@ -209,9 +209,9 @@ func itoa(n int) string {
 
 // PathKeyID names storage reached from a stable root object exactly like
 // the analyzer's own key abstraction (keys.go pathKey), so translated
-// objects and static classes share ids.
-func PathKeyID(root types.Object, path string) string {
-	return pathKey(kindOpaque, root, path, false).id
+// objects and static classes share ids. fset is the universe's FileSet.
+func PathKeyID(fset *token.FileSet, root types.Object, path string) string {
+	return pathKey(fset, kindOpaque, root, path, false).id
 }
 
 // SiteKeyID names a creation site exactly like the analyzer's freshKey.

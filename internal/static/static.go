@@ -89,8 +89,10 @@ type analysis struct {
 	fset  *token.FileSet
 	info  *types.Info
 	decls map[*types.Func]*ast.FuncDecl
-	pkgs  []*loadedPackage
-	mode  int
+	// filePkgs maps each file to its package's import path (loader.filePkgs).
+	filePkgs map[*token.File]string
+	pkgs     []*loadedPackage
+	mode     int
 
 	fields    fieldTable
 	accesses  map[string]*accessInfo
@@ -225,6 +227,7 @@ func Analyze(dirs []string, cfg Config) (*Report, error) {
 		fset:      l.fset,
 		info:      l.info,
 		decls:     l.declsByObj,
+		filePkgs:  l.filePkgs,
 		pkgs:      pkgs,
 		fields:    fieldTable{},
 		accesses:  map[string]*accessInfo{},
@@ -325,11 +328,11 @@ func (a *analysis) runRoot(r *rootResult) {
 				switch kk {
 				case kindVar, kindMutex, kindVolatile:
 					it.env.define(obj, binding{kind: bindKey,
-						key: pathKey(kk, obj, "", isCollection(obj.Type()))})
+						key: pathKey(a.fset, kk, obj, "", isCollection(obj.Type()))})
 				case kindOpaque:
 					if isStructish(obj.Type()) {
 						it.env.define(obj, binding{kind: bindKey,
-							key: pathKey(kindOpaque, obj, "", false)})
+							key: pathKey(a.fset, kindOpaque, obj, "", false)})
 					}
 				}
 			}
@@ -340,7 +343,7 @@ func (a *analysis) runRoot(r *rootResult) {
 
 	id := "root:" + r.name
 	if r.obj != nil {
-		id = inlineID(r.obj, nil)
+		id = a.inlineID(r.obj, nil)
 	}
 	it.stack = append(it.stack, id)
 	fr := &frame{}

@@ -2,6 +2,8 @@ package static
 
 import (
 	"bytes"
+	"encoding/json"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -95,6 +97,47 @@ func TestReportDeterministic(t *testing.T) {
 	if out[0].String() != out[1].String() {
 		t.Errorf("nondeterministic report:\n--- run 1\n%s\n--- run 2\n%s", out[0].String(), out[1].String())
 	}
+}
+
+// A package's report must not depend on what else the universe loaded.
+// Parameter storage and function literals carry a source position in
+// their ids; a FileSet offset there would shift with every file loaded
+// before the package.
+func TestReportIndependentOfLoadOrder(t *testing.T) {
+	for dir, id := range map[string]string{
+		"testdata/rwmutex": "rwmutex.g@rwmutex.go:",
+		"testdata/litrec":  "litrec.lit@litrec.go:",
+	} {
+		alone := packageJSON(t, analyze(t, dir), filepath.Base(dir))
+		if !strings.Contains(alone, id) {
+			t.Errorf("%s: report has no id %q...: %s", dir, id, alone)
+		}
+		if after := packageJSON(t, analyze(t, "testdata/plaingo", dir), filepath.Base(dir)); after != alone {
+			t.Errorf("%s: report changes when testdata/plaingo is loaded first:\n--- alone\n%s\n--- after plaingo\n%s", dir, alone, after)
+		}
+	}
+}
+
+// packageJSON renders the functions and findings of rep that sit in the
+// files of package dir.
+func packageJSON(t *testing.T, rep *Report, dir string) string {
+	t.Helper()
+	var part Report
+	for _, f := range rep.Funcs {
+		if strings.HasPrefix(f.File, dir+"/") {
+			part.Funcs = append(part.Funcs, f)
+		}
+	}
+	for _, f := range rep.Findings {
+		if strings.HasPrefix(f.Loc, dir+"/") {
+			part.Findings = append(part.Findings, f)
+		}
+	}
+	b, err := json.MarshalIndent(part, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 func TestMetricsPublished(t *testing.T) {

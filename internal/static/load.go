@@ -1,6 +1,7 @@
 package static
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -21,12 +22,14 @@ type loadedPackage struct {
 	pkg   *types.Package
 }
 
-// loader parses and type-checks packages with the standard library only:
+// loader parses and type-checks packages with the go/* packages only:
 // module-local import paths are resolved from source relative to the
-// enclosing go.mod, everything else goes through the stdlib source
-// importer. Type errors are collected, not fatal — the analyzer degrades
-// to "unknown" verdicts where type information is missing, it never
-// refuses a package outright.
+// enclosing go.mod; every other import comes from the compiler's export
+// data, which one `go list -export` run locates (export.go), or, when that
+// run fails, from the standard library's source for the whole universe.
+// Type errors are collected, not fatal — the analyzer degrades to
+// "unknown" verdicts where type information is missing, it never refuses
+// a package outright.
 type loader struct {
 	fset    *token.FileSet
 	info    *types.Info
@@ -41,6 +44,51 @@ type loader struct {
 	// filePkgs maps every parsed file to its package's import path.
 	filePkgs map[*token.File]string
 	typeErrs []error
+
+	// exports is the export-data index std imports come from, nil when
+	// they are type-checked from source. listDir is where `go list` runs;
+	// listFailed records that an on-demand run failed, so the universe
+	// must be loaded again from source.
+	exports    *exportIndex
+	listDir    string
+	listFailed bool
+}
+
+// load parses and type-checks the packages rooted at dirs as one
+// universe. Std imports come from export data; if `go list` cannot run or
+// fails, before the load or on demand during it, the whole universe is
+// loaded with the source importer instead, so it never holds two copies
+// of a std package.
+func load(dirs []string) (*loader, []*loadedPackage, error) {
+	l, pkgs, err := loadWith(dirs, stdExports)
+	if l.listFailed {
+		return loadWith(dirs, nil)
+	}
+	return l, pkgs, err
+}
+
+// loadWith loads dirs with std imports from exports, or from source when
+// exports is nil or cannot resolve the universe's std imports.
+func loadWith(dirs []string, exports *exportIndex) (*loader, []*loadedPackage, error) {
+	l := newLoader()
+	for _, d := range dirs {
+		if l.modRoot == "" {
+			l.findModule(d)
+		}
+	}
+	if exports != nil && len(dirs) > 0 && exports.resolve(dirs[0], l.stdImports(dirs)) == nil {
+		l.exports, l.listDir = exports, dirs[0]
+		l.std = importer.ForCompiler(l.fset, "gc", l.lookup)
+	}
+	var pkgs []*loadedPackage
+	for _, d := range dirs {
+		p, err := l.loadDir(d)
+		if err != nil {
+			return l, nil, err
+		}
+		pkgs = append(pkgs, p)
+	}
+	return l, pkgs, nil
 }
 
 func newLoader() *loader {
@@ -88,6 +136,19 @@ func (l *loader) findModule(dir string) {
 	}
 }
 
+// moduleDir maps a module-local import path to its directory.
+func (l *loader) moduleDir(path string) (string, bool) {
+	if l.modPath == "" || (path != l.modPath && !strings.HasPrefix(path, l.modPath+"/")) {
+		return "", false
+	}
+	return filepath.Join(l.modRoot, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/"))), true
+}
+
+// errCgo is the one warning for import "C": cgo is outside the model (the
+// translator diagnoses it), so the loader answers the import itself, with
+// an empty package, whichever importer the universe uses.
+var errCgo = errors.New("cgo is outside the model; C stays untyped")
+
 // Import implements types.Importer.
 func (l *loader) Import(path string) (*types.Package, error) {
 	if p, ok := l.cache[path]; ok {
@@ -95,9 +156,10 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	}
 	var pkg *types.Package
 	var err error
-	if l.modPath != "" && (path == l.modPath || strings.HasPrefix(path, l.modPath+"/")) {
-		dir := filepath.Join(l.modRoot, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")))
+	if dir, ok := l.moduleDir(path); ok {
 		pkg, _, err = l.check(path, dir, false)
+	} else if path == "C" {
+		err = errCgo
 	} else {
 		pkg, err = l.std.Import(path)
 	}
@@ -182,9 +244,6 @@ func (l *loader) indexDecls(files []*ast.File) {
 
 // loadDir loads one target directory as a package universe member.
 func (l *loader) loadDir(dir string) (*loadedPackage, error) {
-	if l.modRoot == "" {
-		l.findModule(dir)
-	}
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err

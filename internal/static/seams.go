@@ -43,22 +43,18 @@ type LoadedPackage struct {
 }
 
 // Load parses and type-checks the packages rooted at dirs with the same
-// loader Analyze uses: stdlib source importer plus module-local import
-// resolution, test files excluded, type errors collected rather than
-// fatal.
+// loader Analyze uses: module-local imports from source, the standard
+// library from export data (from source when `go list` cannot locate it),
+// test files excluded, type errors collected rather than fatal.
 func Load(dirs []string) (*Universe, error) {
-	l := newLoader()
-	u := &Universe{Decls: l.declsByObj}
-	for _, d := range dirs {
-		p, err := l.loadDir(d)
-		if err != nil {
-			return nil, err
-		}
+	l, pkgs, err := load(dirs)
+	if err != nil {
+		return nil, err
+	}
+	u := &Universe{Fset: l.fset, Info: l.info, Decls: l.declsByObj, Warnings: warningStrings(l.typeErrs)}
+	for _, p := range pkgs {
 		u.Pkgs = append(u.Pkgs, &LoadedPackage{Name: p.name, Dir: p.dir, Files: p.files, Pkg: p.pkg})
 	}
-	u.Fset = l.fset
-	u.Info = l.info
-	u.Warnings = warningStrings(l.typeErrs)
 	return u, nil
 }
 

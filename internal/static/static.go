@@ -213,14 +213,9 @@ func Analyze(dirs []string, cfg Config) (*Report, error) {
 	if cfg.Policy == zero {
 		cfg.Policy = movers.DefaultPolicy()
 	}
-	l := newLoader()
-	var pkgs []*loadedPackage
-	for _, d := range dirs {
-		p, err := l.loadDir(d)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, p)
+	l, pkgs, err := load(dirs)
+	if err != nil {
+		return nil, err
 	}
 	a := &analysis{
 		cfg:       cfg,

@@ -163,9 +163,6 @@ func TestMetricsPublished(t *testing.T) {
 // Analyzing the real workload corpus must complete without error and
 // never produce an unsound-looking empty result.
 func TestAnalyzeWorkloads(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the stdlib from source")
-	}
 	rep := analyze(t, "../workloads")
 	if rep.Stats.Funcs == 0 {
 		t.Fatal("no functions found in internal/workloads")

@@ -107,8 +107,10 @@ type dporScan struct {
 	heads    []int32
 	rows     [numFamilies]map[uint64]int32
 	forkJoin []int32
-	// cands collects one event's flip candidates.
+	// cands collects one event's flip candidates, and pre the run's running
+	// preemption counts (preemptionPrefix).
 	cands []int32
+	pre   []int
 }
 
 // chainKind classifies an event by the chains it sits on and walks.
@@ -466,7 +468,8 @@ func (s *dporScan) expand(res *Result, prefix []trace.TID, points []ChoicePoint,
 	}
 	// Running preemption counts, shared by every flip considered below
 	// (recounting per pair was quadratic in trace depth).
-	pre := preemptionPrefix(points)
+	s.pre = preemptionPrefix(s.pre, points)
+	pre := s.pre
 
 	// For each event j, consider the latest earlier conflicting events
 	// of each other thread: reversing such a pair is the only

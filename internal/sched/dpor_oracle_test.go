@@ -33,7 +33,7 @@ func expandDPOROracle(res *Result, prefix []trace.TID, points []ChoicePoint, max
 	}
 	// Running preemption counts, shared by every flip considered below
 	// (recounting per pair was quadratic in trace depth).
-	pre := preemptionPrefix(points)
+	pre := preemptionPrefix(nil, points)
 
 	// For each event j, consider the latest earlier conflicting events
 	// of each other thread: reversing such a pair is the only

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"time"
 
 	"repro/internal/obs/flight"
 	"repro/internal/trace"
@@ -50,9 +51,11 @@ func Explore(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 	if opts.Visit == nil {
 		return nil, fmt.Errorf("sched: ExploreOptions.Visit is required")
 	}
+	var pre []int
 	return exploreDFS(p, &opts, "explore",
 		func(prefix []trace.TID, _ *Result, points []ChoicePoint, push func([]trace.TID), _ *flight.Track) {
-			expandPrefixes(points, len(prefix), opts.MaxPreemptions, push)
+			pre = preemptionPrefix(pre, points)
+			expandPrefixes(points, pre, len(prefix), opts.MaxPreemptions, push)
 		})
 }
 
@@ -66,7 +69,7 @@ type expandFunc func(prefix []trace.TID, res *Result, points []ChoicePoint, push
 // ExploreDPOR: budget and run-cap checks, one panic-isolated replay per
 // popped prefix, the report, the explore.* metrics, the flight spans, and
 // Visit. The explorers differ only in expand; span names the search's
-// flight span. Every replay runs its threads on one pool, closed on return.
+// flight span. Every replay runs on one replayer, closed on return.
 func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc) (*ExploreReport, error) {
 	maxRuns := opts.MaxRuns
 	if maxRuns <= 0 {
@@ -74,9 +77,16 @@ func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc
 	}
 	mExploreMaxRuns.Set(int64(maxRuns))
 	bud := StartBudget(opts.Budget)
-	pool := newThreadPool()
-	defer pool.close()
+	r := newReplayer()
+	defer r.rt.close()
 	rep := &ExploreReport{Status: StatusComplete}
+	// Time in expand, the search's own bookkeeping, counted in plain
+	// fields and flushed once.
+	var expands, expandNs int64
+	defer func() {
+		mExploreExpands.Add(expands)
+		mExploreExpandNs.Add(expandNs)
+	}()
 	var ftrack *flight.Track
 	var exSpan flight.Span
 	if fr := flight.Active(); fr != nil {
@@ -108,7 +118,7 @@ func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc
 		if ftrack != nil {
 			runSpan = ftrack.Begin(flight.CatSched, "schedule", exSpan.ID(), flight.A("depth", int64(len(prefix))))
 		}
-		res, points, err := replayPrefix(p, opts, pool, bud.RunContext(), prefix)
+		res, points, err := r.replayPrefix(p, opts, bud.RunContext(), prefix)
 		if ftrack != nil {
 			EndRunSpan(runSpan, res, err)
 		}
@@ -136,49 +146,71 @@ func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc
 			return finishReport(rep), nil
 		}
 
+		t0 := time.Now()
 		expand(prefix, res, points, push, ftrack)
+		expandNs += time.Since(t0).Nanoseconds()
+		expands++
 		mExploreFrontier.SetMax(int64(len(stack)))
 	}
 	rep.Abandoned += len(stack)
 	return finishReport(rep), nil
 }
 
-// replayPrefix executes one guided run with panic isolation: a panic
+// replayer is the state a search keeps across its replays: the runtime,
+// whose buffers each run recycles (see Runtime), the search's Guided
+// strategy, whose choice-point log and arena each run refills, and the
+// previous run's event count, which presizes the next run's trace and
+// schedule through Options.EventsHint. Nothing it keeps reaches a Result,
+// so Visit may retain every Result it is given.
+type replayer struct {
+	rt     *Runtime
+	guided Guided
+	events int
+}
+
+func newReplayer() *replayer {
+	return &replayer{rt: newRuntime(), guided: Guided{recycle: true}}
+}
+
+// replayPrefix executes one guided run of prefix with panic isolation: a panic
 // anywhere in the replay — the observer factory, the strategy, the
 // scheduler loop, or (via the runtime's own recover) a virtual thread —
 // becomes an *ExploreError, so a crashing schedule is a deterministic
 // finding instead of a process abort. ctx, when non-nil, aborts the run
-// cooperatively with an error wrapping ErrCancelled. The run's threads
-// start on pool.
-func replayPrefix(p *Program, opts *ExploreOptions, pool *threadPool, ctx context.Context, prefix []trace.TID) (res *Result, points []ChoicePoint, err error) {
+// cooperatively with an error wrapping ErrCancelled. The choice points it
+// returns are valid until the next replay.
+func (r *replayer) replayPrefix(p *Program, opts *ExploreOptions, ctx context.Context, prefix []trace.TID) (res *Result, points []ChoicePoint, err error) {
 	defer func() {
-		if r := recover(); r != nil {
+		if rec := recover(); rec != nil {
 			res, points = nil, nil
-			err = &ExploreError{Prefix: prefix, Panic: r, Stack: debug.Stack()}
+			err = &ExploreError{Prefix: prefix, Panic: rec, Stack: debug.Stack()}
 			mExplorePanics.Inc()
 		}
 	}()
-	g := &Guided{Prefix: prefix}
-	ro := Options{Strategy: g, RecordTrace: opts.RecordTrace, Ctx: ctx}
+	r.guided.Prefix = prefix
+	ro := Options{Strategy: &r.guided, RecordTrace: opts.RecordTrace, Ctx: ctx, EventsHint: r.events}
 	if opts.Observers != nil {
 		ro.Observers = opts.Observers()
 	}
-	res, err = runOn(pool, p, ro)
+	res, err = r.rt.run(p, ro)
+	if res != nil {
+		r.events = res.Events
+	}
 	var tp *runPanic
 	if errors.As(err, &tp) {
 		err = &ExploreError{Prefix: prefix, Panic: tp.val, Stack: tp.stack}
 		mExplorePanics.Inc()
 	}
-	return res, g.Points, err
+	return res, r.guided.Points, err
 }
 
 // expandPrefixes pushes the alternative forced-decision prefixes branching
 // off points[prefixLen:], in the DFS expansion order (deepest decision
 // first, so the search explores nearby schedules before distant ones).
-// The preemption budget is tracked with a running prefix sum instead of
-// recounting points[:i] per decision, which was quadratic in trace depth.
-func expandPrefixes(points []ChoicePoint, prefixLen, maxPreemptions int, push func([]trace.TID)) {
-	pre := preemptionPrefix(points)
+// The preemption budget is read from pre, the path's running preemption
+// counts (preemptionPrefix), instead of recounting points[:i] per
+// decision, which was quadratic in trace depth.
+func expandPrefixes(points []ChoicePoint, pre []int, prefixLen, maxPreemptions int, push func([]trace.TID)) {
 	for i := len(points) - 1; i >= prefixLen; i-- {
 		pt := points[i]
 		used := pre[i]
@@ -204,9 +236,11 @@ func expandPrefixes(points []ChoicePoint, prefixLen, maxPreemptions int, push fu
 }
 
 // preemptionPrefix returns the running preemption counts of a decision-point
-// path: out[i] = preemptionsIn(points[:i]), computed in one linear sweep.
-func preemptionPrefix(points []ChoicePoint) []int {
-	out := make([]int, len(points)+1)
+// path: out[i] = preemptionsIn(points[:i]), computed in one linear sweep
+// into out's array when it is large enough.
+func preemptionPrefix(out []int, points []ChoicePoint) []int {
+	out = resized(out, len(points)+1)
+	out[0] = 0
 	for i, pt := range points {
 		cost := 0
 		if pt.Current >= 0 && containsTID(pt.Runnable, pt.Current) && pt.Chosen != pt.Current {

@@ -64,6 +64,16 @@ func lockOrderDeadlock() *Program {
 	return p
 }
 
+// FaultFixtures are programs on some of whose schedules a run ends in a
+// thread panic or a deadlock, for the tests in package sched_test.
+var FaultFixtures = []struct {
+	Name string
+	New  func() *Program
+}{
+	{"panicky-incrementers", panickyIncrementers},
+	{"lock-order-deadlock", lockOrderDeadlock},
+}
+
 // deadlineInsideLocks runs one thread long enough for a 1-ms deadline to
 // cancel it inside its WithLock body, while main is parked joining it
 // inside a WithLock body of its own.

@@ -138,7 +138,7 @@ func TestPreemptionPrefixMatchesNaive(t *testing.T) {
 			EventIdx: i,
 		}
 	}
-	pre := preemptionPrefix(points)
+	pre := preemptionPrefix(nil, points)
 	for i := 0; i <= len(points); i++ {
 		if want := preemptionsIn(points[:i]); pre[i] != want {
 			t.Fatalf("prefix[%d] = %d, naive = %d", i, pre[i], want)

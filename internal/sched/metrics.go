@@ -13,6 +13,10 @@ var (
 	mExploreReplays  = obs.Default.Counter("explore.replays")
 	mExploreFrontier = obs.Default.Gauge("explore.frontier.hwm")
 	mExploreMaxRuns  = obs.Default.Gauge("explore.max_runs")
+	// The search's own bookkeeping, apart from its replays: expansions of
+	// a finished run into the prefixes to visit, and their wall clock.
+	mExploreExpands  = obs.Default.Counter("explore.expand.count")
+	mExploreExpandNs = obs.Default.Counter("explore.expand.ns")
 
 	// Fault-tolerance telemetry (DESIGN.md "Fault tolerance & budgets"):
 	// cutoff causes are counted once per exploration, panics once per

@@ -35,7 +35,7 @@ func (x *T) At(loc string) *T {
 		x.t.locOverride = locNone
 		return x
 	}
-	x.t.locOverride = x.rt.strings.Intern(loc)
+	_, x.t.locOverride = x.rt.locs.intern(x.rt.strings, loc)
 	return x
 }
 

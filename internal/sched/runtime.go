@@ -50,6 +50,9 @@ type Options struct {
 
 // StringsAware is implemented by observers that want to resolve LocIDs;
 // the runtime hands them the run's string table before execution starts.
+// The runtime is the table's only writer while the run lasts: it appends
+// each location once without looking names up, so an observer that
+// interned into the table could make a name appear twice.
 type StringsAware interface {
 	SetStrings(s *trace.Strings)
 }
@@ -179,7 +182,9 @@ type SchedStats struct {
 	// operations.
 	ElidedParks int
 	// LocCacheHits counts location captures answered by the PC cache;
-	// LocCacheMisses counts symbolization slow paths.
+	// LocCacheMisses counts captures of a PC new to the cache, which an
+	// exploration keeps across its runs, so a replay misses only on PCs
+	// that no earlier replay of the search captured.
 	LocCacheHits   int
 	LocCacheMisses int
 
@@ -226,9 +231,12 @@ const (
 )
 
 type thread struct {
-	id       trace.TID
-	name     string
-	proc     Proc
+	id     trace.TID
+	name   string
+	proc   Proc
+	handle T // the thread's op handle, passed to proc
+	// resume carries the baton to this thread. Every send on it is matched
+	// within a run, so a recycled record keeps its channel.
 	resume   chan struct{}
 	state    threadState
 	waitOn   waitKind
@@ -256,15 +264,25 @@ type condState struct {
 
 var errKilled = errors.New("sched: thread killed")
 
-// Runtime is the mutable state of one run. Exactly one virtual thread (or
+// Runtime is the mutable state of a run. Exactly one virtual thread (or
 // the scheduler loop) executes at any moment, handing off control through
 // channels, so Runtime fields need no further locking.
+//
+// An exploration runs all its replays on one Runtime, and Run makes a
+// fresh one for its single run. Each run starts from reset, which keeps
+// the buffers no Result refers to (thread records, lock, condition and
+// channel state, the observer batch, the location cache, the scheduling
+// scratch) and allocates afresh everything a Result holds (trace, string
+// table, symbols, final values, schedule, choices), so a Result stays
+// intact however many runs follow it.
 type Runtime struct {
 	prog  *Program
 	opts  Options
 	strat Strategy
 	pool  *threadPool // runs the virtual threads' goroutines
 
+	// threads holds the run's thread records, indexed by id. Records past
+	// len, from earlier runs, are recycled by spawn.
 	threads []*thread
 	current trace.TID
 
@@ -277,9 +295,12 @@ type Runtime struct {
 	strings   *trace.Strings
 	tr        *trace.Trace
 	observers []Observer
-	batch     []trace.Event // pending events not yet flushed to observers
-	symbols   *Symbols
-	schedule  []trace.TID
+	// batch holds the pending events not yet flushed to observers; it is
+	// nil when the run has none. batchBuf keeps its array across runs.
+	batch    []trace.Event
+	batchBuf []trace.Event
+	symbols  *Symbols
+	schedule []trace.TID
 
 	methodIDs map[string]uint64
 
@@ -344,60 +365,100 @@ type Runtime struct {
 // Run executes p under the given options and returns the run summary.
 // It is deterministic for a fixed program, strategy, and seed.
 func Run(p *Program, opts Options) (*Result, error) {
-	pool := newThreadPool()
-	res, err := runOn(pool, p, opts)
-	pool.close()
+	rt := newRuntime()
+	res, err := rt.run(p, opts)
+	rt.close()
 	return res, err
 }
 
-// runOn is Run with the virtual threads' goroutines taken from pool, which
-// the caller closes once its last run has returned.
-func runOn(pool *threadPool, p *Program, opts Options) (*Result, error) {
-	if p.main == nil {
-		return nil, errors.New("sched: program has no main")
+// newRuntime returns a Runtime with its own thread pool, for one or more
+// runs; close releases it once the last run has returned.
+func newRuntime() *Runtime {
+	return &Runtime{pool: newThreadPool(), toSched: make(chan struct{}), methodIDs: make(map[string]uint64)}
+}
+
+// close stops the runtime's pooled goroutines.
+func (rt *Runtime) close() { rt.pool.close() }
+
+// reset readies rt for a run of p: every field is zeroed except the
+// buffers kept across runs, which are emptied.
+func (rt *Runtime) reset(p *Program, opts Options) {
+	*rt = Runtime{
+		prog:        p,
+		opts:        opts,
+		strat:       opts.Strategy,
+		pool:        rt.pool,
+		threads:     rt.threads[:0],
+		current:     -1,
+		mus:         resized(rt.mus, len(p.mutexes)),
+		conds:       resized(rt.conds, len(p.conds)),
+		chs:         resized(rt.chs, len(p.chans)),
+		observers:   opts.Observers,
+		batchBuf:    rt.batchBuf,
+		methodIDs:   rt.methodIDs,
+		toSched:     rt.toSched,
+		maxEvents:   opts.MaxEvents,
+		runnableBuf: rt.runnableBuf,
+		noLoc:       opts.DisableLocations,
+		locs:        rt.locs,
 	}
-	if opts.Strategy == nil {
-		return nil, errors.New("sched: options require a Strategy")
+	clear(rt.methodIDs)
+	rt.locs.nextRun()
+	for i := range rt.mus {
+		rt.mus[i] = mutexState{owner: -1}
 	}
-	rt := &Runtime{
-		prog:      p,
-		opts:      opts,
-		strat:     opts.Strategy,
-		pool:      pool,
-		vals:      make([]int64, len(p.vars)),
-		volVals:   make([]int64, len(p.volatiles)),
-		mus:       make([]mutexState, len(p.mutexes)),
-		conds:     make([]condState, len(p.conds)),
-		chs:       make([]chanState, len(p.chans)),
-		strings:   trace.NewStrings(),
-		observers: opts.Observers,
-		methodIDs: make(map[string]uint64),
-		toSched:   make(chan struct{}),
-		maxEvents: opts.MaxEvents,
-		current:   -1,
-		noLoc:     opts.DisableLocations,
+	for i := range rt.conds {
+		rt.conds[i].queue = rt.conds[i].queue[:0]
+	}
+	for i := range rt.chs {
+		ch := &rt.chs[i]
+		*ch = chanState{cap: p.chans[i].cap, buf: ch.buf[:0], pending: ch.pending[:0]}
 	}
 	if len(opts.Observers) > 0 {
 		size := opts.BatchSize
 		if size <= 0 {
 			size = DefaultBatchSize
 		}
-		rt.batch = make([]trace.Event, 0, size)
+		if cap(rt.batchBuf) != size {
+			rt.batchBuf = make([]trace.Event, 0, size)
+		}
+		rt.batch = rt.batchBuf[:0]
 	}
 	if rt.maxEvents <= 0 {
 		rt.maxEvents = 5_000_000
 	}
-	for i := range rt.mus {
-		rt.mus[i].owner = -1
+}
+
+// resized returns s at length n, reusing its array when it is large
+// enough; the caller resets the elements.
+func resized[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
 	}
-	for i := range rt.chs {
-		rt.chs[i].cap = p.chans[i].cap
+	return s[:n]
+}
+
+// run executes p on rt and returns the run summary.
+func (rt *Runtime) run(p *Program, opts Options) (*Result, error) {
+	if p.main == nil {
+		return nil, errors.New("sched: program has no main")
 	}
+	if opts.Strategy == nil {
+		return nil, errors.New("sched: options require a Strategy")
+	}
+	methods := len(rt.methodIDs)
+	rt.reset(p, opts)
+	// The buffers a Result keeps are allocated afresh, presized from what
+	// earlier runs on rt used.
+	rt.strings = trace.NewStrings()
+	rt.strings.Grow(len(rt.locs.names))
 	// Declared initial values are pre-run state, not events: nothing is
 	// emitted for them (translated package-level initializers rely on this).
+	rt.vals = make([]int64, len(p.vars))
 	for i := range rt.vals {
 		rt.vals[i] = p.vars[i].init
 	}
+	rt.volVals = make([]int64, len(p.volatiles))
 	for i := range rt.volVals {
 		rt.volVals[i] = p.volatiles[i].init
 	}
@@ -405,6 +466,8 @@ func runOn(pool *threadPool, p *Program, opts Options) (*Result, error) {
 		Vars:      names(p.vars),
 		Volatiles: names(p.volatiles),
 		Mutexes:   names(p.mutexes),
+		Methods:   make([]string, 0, methods),
+		Threads:   make([]string, 0, cap(rt.threads)),
 		Chans:     chanNames(p.chans),
 	}
 	if opts.EventsHint > 0 {
@@ -497,20 +560,31 @@ func chanNames(defs []chanDef) []string {
 	return out
 }
 
-// spawn creates a thread record and starts it on a pool goroutine, which
-// parks immediately awaiting the thread's first turn.
+// spawn sets up a thread record, recycling an earlier run's record of the
+// same id, and starts it on a pool goroutine, which parks immediately
+// awaiting the thread's first turn.
 func (rt *Runtime) spawn(name string, fn Proc) *thread {
-	t := &thread{
-		id:          trace.TID(len(rt.threads)),
+	id := len(rt.threads)
+	var t *thread
+	if id < cap(rt.threads) {
+		t = rt.threads[:id+1][id]
+	}
+	if t == nil {
+		t = &thread{resume: make(chan struct{})}
+	}
+	*t = thread{
+		id:          trace.TID(id),
 		name:        name,
 		proc:        fn,
-		resume:      make(chan struct{}),
+		handle:      T{rt: rt, t: t},
+		resume:      t.resume,
 		state:       stateRunnable,
+		selWatch:    t.selWatch[:0],
 		locOverride: locNone,
 	}
 	rt.threads = append(rt.threads, t)
 	rt.symbols.Threads = append(rt.symbols.Threads, name)
-	rt.pool.start(&T{rt: rt, t: t})
+	rt.pool.start(&t.handle)
 	return t
 }
 
@@ -962,28 +1036,57 @@ func (rt *Runtime) fail(format string, args ...any) {
 // whatever string happens to hold id 0.
 const unknownLoc = "unknown:0"
 
-// locCacheMinSize is the initial slot count of a run's location cache;
-// big enough that typical workloads (tens of instrumentation sites) never
+// locCacheMinSize is the initial slot count of a location cache; big
+// enough that typical workloads (tens of instrumentation sites) never
 // rehash.
 const locCacheMinSize = 256
 
-// locCache interns source locations keyed by the raw runtime.Callers
-// program counter, so steady-state events never symbolize frames: the
-// name lookup + string-intern slow path runs once per distinct call site
-// and run, and per-event capture is one Callers call plus one probe of an
-// open-addressed table. PCs are inlining-correct keys — each logical call
-// site has a distinct return PC, and CallersFrames expands inlined frames
-// when a PC is first symbolized — which the inlining test pins down.
+// locCache interns source locations keyed by the raw call-site program
+// counter, so steady-state events never symbolize frames: per-event
+// capture is one PC read plus one probe of an open-addressed table. PCs
+// are inlining-correct keys — each logical call site has a distinct return
+// PC, and CallersFrames expands inlined frames when a PC is first
+// symbolized — which the inlining test pins down.
 //
-// The cache is per run, like the run's string table: a run interns its
-// locations in first-capture order, so its LocIDs do not depend on what
-// other runs captured. Only the PC → name step is shared (symbolName).
+// The cache lives as long as its Runtime, so an exploration resolves each
+// PC to its name, and hashes each name, once per search. LocIDs stay per
+// run: a name's id is valid only in the run whose stamp it carries, and
+// the name's first capture in a later run appends it to that run's string
+// table and restamps it. So a run interns its locations in first-capture
+// order, its LocIDs do not depend on what other runs captured, and its
+// string table holds each name once without hashing any.
 type locCache struct {
-	pcs  []uintptr     // slot keys; 0 marks an empty slot (PCs are never 0)
-	ids  []trace.LocID // slot values, parallel to pcs
-	n    int           // occupied slots
-	hits int           // captures answered from the table
-	miss int           // captures that took the symbolization slow path
+	slots []locSlot
+	n     int // occupied slots
+	// names holds every location name the cache has seen, and byName
+	// indexes it: the names of PCs, of T.At overrides, and the zero-frame
+	// sentinel.
+	names  []locName
+	byName map[string]int32
+	run    uint64 // the current run's stamp
+	hits   int    // captures of a PC already in the table
+	miss   int    // captures that symbolized a PC new to the table
+}
+
+// locSlot maps a PC to its name; pc 0 marks an empty slot (PCs are never
+// 0).
+type locSlot struct {
+	pc   uintptr
+	name int32 // index into names
+}
+
+// locName is one location name and its id in the string table of run.
+type locName struct {
+	name string
+	id   trace.LocID
+	run  uint64
+}
+
+// nextRun stamps a new run, which makes every name's id stale, and zeroes
+// the per-run counters.
+func (c *locCache) nextRun() {
+	c.hits, c.miss = 0, 0
+	c.run++
 }
 
 // capture records the caller's caller at the given logical skip depth.
@@ -1002,37 +1105,63 @@ func (c *locCache) capture(strs *trace.Strings, skip int) trace.LocID {
 // frames at all.
 func (c *locCache) zeroFrame(strs *trace.Strings) trace.LocID {
 	c.miss++
-	return strs.Intern(unknownLoc)
-}
-
-// lookup resolves a call-site PC to its interned location id, symbolizing
-// it at most once.
-func (c *locCache) lookup(strs *trace.Strings, pc uintptr) trace.LocID {
-	if c.pcs == nil {
-		c.grow(locCacheMinSize)
-	}
-	mask := uintptr(len(c.pcs) - 1)
-	for i := locHash(pc) & mask; c.pcs[i] != 0; i = (i + 1) & mask {
-		if c.pcs[i] == pc {
-			c.hits++
-			return c.ids[i]
-		}
-	}
-	c.miss++
-	id := strs.Intern(symbolName(pc))
-	c.insert(pc, id)
+	_, id := c.intern(strs, unknownLoc)
 	return id
 }
 
+// lookup resolves a call-site PC to its location id in the current run's
+// string table strs, symbolizing it at most once per cache.
+func (c *locCache) lookup(strs *trace.Strings, pc uintptr) trace.LocID {
+	if c.slots == nil {
+		c.slots = make([]locSlot, locCacheMinSize)
+	}
+	mask := uintptr(len(c.slots) - 1)
+	for i := locHash(pc) & mask; c.slots[i].pc != 0; i = (i + 1) & mask {
+		if c.slots[i].pc == pc {
+			c.hits++
+			return c.id(strs, c.slots[i].name)
+		}
+	}
+	c.miss++
+	name, id := c.intern(strs, symbolName(pc))
+	c.insert(locSlot{pc: pc, name: name})
+	return id
+}
+
+// intern returns name's index in names, adding it if new, and its id in
+// the current run's string table strs.
+func (c *locCache) intern(strs *trace.Strings, name string) (int32, trace.LocID) {
+	if i, ok := c.byName[name]; ok {
+		return i, c.id(strs, i)
+	}
+	if c.byName == nil {
+		c.byName = make(map[string]int32)
+	}
+	i := int32(len(c.names))
+	id := strs.AppendNew(name)
+	c.names = append(c.names, locName{name: name, id: id, run: c.run})
+	c.byName[name] = i
+	return i, id
+}
+
+// id returns the id of names[i] in the current run's string table strs,
+// appending the name on its first use in the run.
+func (c *locCache) id(strs *trace.Strings, i int32) trace.LocID {
+	n := &c.names[i]
+	if n.run != c.run {
+		n.id, n.run = strs.AppendNew(n.name), c.run
+	}
+	return n.id
+}
+
 // symtab is the process-wide PC → "dir/file.go:line" table behind every
-// run's locCache. A PC's name is fixed for the life of the process, so
-// only the first capture of a call site in the process pays
-// CallersFrames + Sprintf; a replay that starts with a cold locCache
-// finds its names here. The table holds one entry per instrumented call
-// site in the binary, so it is bounded; it is filled lazily, never at
-// package init. A typed map under an RWMutex, not a sync.Map: the
-// read-mostly path is one read lock and one map probe, with no interface
-// boxing of the key.
+// locCache. A PC's name is fixed for the life of the process, so only the
+// first capture of a call site in the process pays CallersFrames +
+// Sprintf; a Run, which starts with an empty locCache, finds its names
+// here. The table holds one entry per instrumented call site in the
+// binary, so it is bounded; it is filled lazily, never at package init. A
+// typed map under an RWMutex, not a sync.Map: the read-mostly path is one
+// read lock and one map probe, with no interface boxing of the key.
 var symtab struct {
 	mu    sync.RWMutex
 	names map[uintptr]string
@@ -1059,35 +1188,29 @@ func symbolName(pc uintptr) string {
 	return name
 }
 
-// insert adds a new pc→id mapping, doubling the table past 3/4 load so
-// probe chains stay short.
-func (c *locCache) insert(pc uintptr, id trace.LocID) {
-	if (c.n+1)*4 > len(c.pcs)*3 {
-		oldPCs, oldIDs := c.pcs, c.ids
-		c.grow(len(oldPCs) * 2)
-		for i, p := range oldPCs {
-			if p != 0 {
-				c.place(p, oldIDs[i])
+// insert adds a new slot, doubling the table past 3/4 load so probe chains
+// stay short.
+func (c *locCache) insert(s locSlot) {
+	if (c.n+1)*4 > len(c.slots)*3 {
+		old := c.slots
+		c.slots = make([]locSlot, 2*len(old))
+		for _, o := range old {
+			if o.pc != 0 {
+				c.place(o)
 			}
 		}
 	}
-	c.place(pc, id)
+	c.place(s)
 	c.n++
 }
 
-func (c *locCache) grow(size int) {
-	c.pcs = make([]uintptr, size)
-	c.ids = make([]trace.LocID, size)
-}
-
-func (c *locCache) place(pc uintptr, id trace.LocID) {
-	mask := uintptr(len(c.pcs) - 1)
-	i := locHash(pc) & mask
-	for c.pcs[i] != 0 {
+func (c *locCache) place(s locSlot) {
+	mask := uintptr(len(c.slots) - 1)
+	i := locHash(s.pc) & mask
+	for c.slots[i].pc != 0 {
 		i = (i + 1) & mask
 	}
-	c.pcs[i] = pc
-	c.ids[i] = id
+	c.slots[i] = s
 }
 
 // locHash is Fibonacci hashing on the PC. Call-site PCs share their high

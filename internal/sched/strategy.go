@@ -334,27 +334,21 @@ type Guided struct {
 	// Points records (runnable set, choice) at every scheduling point.
 	Points []ChoicePoint
 
-	// arena backs the Runnable copies of this run's Points. Reset drops it
-	// rather than reusing it, because a finished run's Points outlive the
-	// run (the explorers expand them after it returns).
+	// arena backs the Runnable copies of this run's Points. Each copy is a
+	// capacity-capped window of it, so appending to one point's Runnable
+	// cannot overwrite the next, and the arena grows by plain append: the
+	// windows cut before a growth keep the array they were cut from.
 	arena []trace.TID
+	// recycle makes Reset keep the arrays of Points and arena for the next
+	// run instead of dropping them. An exploration sets it on its own
+	// Guided, whose Points it has expanded before the next run starts.
+	recycle bool
 }
 
-// guidedArenaBlock is the TID count of the first arena block of a run;
-// later blocks double. A replay of a small workload (tens of events, a
-// few runnable threads at each) fits in one.
-const guidedArenaBlock = 256
-
-// alloc carves an n-TID Runnable out of the run's arena. The slice is
-// capacity-capped, so an append to one point's Runnable reallocates
-// instead of overwriting the next point's.
-func (s *Guided) alloc(n int) []trace.TID {
-	if cap(s.arena)-len(s.arena) < n {
-		s.arena = make([]trace.TID, 0, max(2*cap(s.arena), guidedArenaBlock, n))
-	}
-	i := len(s.arena)
-	s.arena = s.arena[:i+n]
-	return s.arena[i : i+n : i+n]
+// record appends cp with the arena's tail from i as its Runnable.
+func (s *Guided) record(i int, cp ChoicePoint) {
+	cp.Runnable = s.arena[i:len(s.arena):len(s.arena)]
+	s.Points = append(s.Points, cp)
 }
 
 // ChoicePoint is one scheduling decision: what was runnable and what ran.
@@ -381,12 +375,16 @@ func (s *Guided) Name() string { return "guided" }
 // Seed implements Strategy.
 func (s *Guided) Seed() int64 { return 0 }
 
-// Reset implements Strategy.
+// Reset implements Strategy. It starts a new Points slice and arena, so
+// the Points of a finished run stay valid after the next run begins.
 func (s *Guided) Reset() {
 	s.cursor = 0
 	s.events = 0
-	s.Points = nil
-	s.arena = nil
+	if s.recycle {
+		s.Points, s.arena = s.Points[:0], s.arena[:0]
+		return
+	}
+	s.Points, s.arena = nil, nil
 }
 
 // Preempt implements Strategy: every event is a scheduling point, so the
@@ -408,9 +406,9 @@ func (s *Guided) Pick(runnable []trace.TID, current trace.TID) trace.TID {
 		choice = runnable[0]
 	}
 	s.cursor++
-	cp := ChoicePoint{Runnable: s.alloc(len(runnable)), Chosen: choice, Current: current, EventIdx: s.events}
-	copy(cp.Runnable, runnable)
-	s.Points = append(s.Points, cp)
+	i := len(s.arena)
+	s.arena = append(s.arena, runnable...)
+	s.record(i, ChoicePoint{Chosen: choice, Current: current, EventIdx: s.events})
 	return choice
 }
 
@@ -425,10 +423,10 @@ func (s *Guided) Choose(ready []int) int {
 		choice = int(s.Prefix[s.cursor])
 	}
 	s.cursor++
-	cp := ChoicePoint{Runnable: s.alloc(len(ready)), Chosen: trace.TID(choice), Current: -1, EventIdx: s.events, Select: true}
-	for i, r := range ready {
-		cp.Runnable[i] = trace.TID(r)
+	i := len(s.arena)
+	for _, r := range ready {
+		s.arena = append(s.arena, trace.TID(r))
 	}
-	s.Points = append(s.Points, cp)
+	s.record(i, ChoicePoint{Chosen: trace.TID(choice), Current: -1, EventIdx: s.events, Select: true})
 	return choice
 }

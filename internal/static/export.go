@@ -144,7 +144,7 @@ func (l *loader) stdImports(dirs []string) []string {
 		seen[dir] = true
 		// A parse error leaves the imports parsed so far.
 		pkgs, _ := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
+			return buildsFile(dir, fi)
 		}, parser.ImportsOnly)
 		for _, p := range pkgs {
 			for _, f := range p.Files {

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -177,8 +179,8 @@ func (l *loader) Import(path string) (*types.Package, error) {
 // their file list for analysis; imported module packages are indexed for
 // declaration lookup only.
 func (l *loader) check(importPath, dir string, target bool) (*types.Package, []*ast.File, error) {
-	pkgs, err := parser.ParseDir(l.fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
+	pkgs, err := parser.ParseDir(l.fset, dir, func(fi fs.FileInfo) bool {
+		return buildsFile(dir, fi)
 	}, parser.ParseComments)
 	if err != nil {
 		return nil, nil, err
@@ -225,6 +227,23 @@ func (l *loader) check(importPath, dir string, target bool) (*types.Package, []*
 		allFiles = append(allFiles, files...)
 	}
 	return first, allFiles, nil
+}
+
+// buildsFile reports whether the loader takes the file fi of dir: a
+// non-test Go file whose name and build constraints match the host's GOOS
+// and GOARCH with cgo off, as the `go list -export` run that supplies the
+// standard library builds it. So platform twins, such as an _amd64.go
+// file and its //go:build !amd64 fallback, are never type-checked
+// together. A file whose constraints do not parse is kept, for the type
+// checker to report on.
+func buildsFile(dir string, fi fs.FileInfo) bool {
+	if strings.HasSuffix(fi.Name(), "_test.go") {
+		return false
+	}
+	ctxt := build.Default
+	ctxt.CgoEnabled = false
+	ok, err := ctxt.MatchFile(dir, fi.Name())
+	return ok || err != nil
 }
 
 // indexDecls records every FuncDecl's types.Func for cross-package inlining.

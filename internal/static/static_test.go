@@ -3,7 +3,9 @@ package static
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -171,6 +173,52 @@ func TestAnalyzeWorkloads(t *testing.T) {
 	if f.Verdict == VerdictYieldFree || f.Verdict == VerdictCooperable {
 		if len(f.Findings) > 0 {
 			t.Errorf("Counter.Add: cooperable verdict with findings %+v", f.Findings)
+		}
+	}
+}
+
+// The loader parses only the files the host builds: of a platform twin,
+// an _amd64.go file and its //go:build !amd64 fallback, one is
+// type-checked, so the package has no duplicate declaration.
+func TestPlatformTwinsTypeCheckOnce(t *testing.T) {
+	rep := analyze(t, "testdata/platform")
+	if rep.TypeErrors != 0 || len(rep.Warnings) != 0 {
+		t.Fatalf("type errors %d, warnings %q, want none", rep.TypeErrors, rep.Warnings)
+	}
+	mustFunc(t, rep, "platform.Add")
+}
+
+// buildsFile takes the non-test files whose name and constraints match the
+// host, and keeps a file whose constraint does not parse.
+func TestBuildsFile(t *testing.T) {
+	dir := t.TempDir()
+	other := "arm64"
+	if runtime.GOARCH == "arm64" {
+		other = "amd64"
+	}
+	files := map[string]struct {
+		src  string
+		want bool
+	}{
+		"plain.go":                       {"package p\n", true},
+		"host_" + runtime.GOARCH + ".go": {"package p\n", true},
+		"foreign_" + other + ".go":       {"package p\n", false},
+		"excluded.go":                    {"//go:build !" + runtime.GOARCH + "\n\npackage p\n", false},
+		"cgo.go":                         {"//go:build cgo\n\npackage p\n", false},
+		"malformed.go":                   {"//go:build (\n\npackage p\n", true},
+		"plain_test.go":                  {"package p\n", false},
+	}
+	for name, f := range files {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(f.src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := buildsFile(dir, fi); got != f.want {
+			t.Errorf("buildsFile(%s) = %v, want %v", name, got, f.want)
 		}
 	}
 }

@@ -12,6 +12,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -193,27 +194,57 @@ type Event struct {
 // Strings is an append-only interner mapping names to dense ids. Id 0 is
 // reserved for the empty string.
 type Strings struct {
-	byName map[string]LocID
-	names  []string
+	// byName indexes names[:indexed]. Intern brings it up to date first,
+	// so a table filled through AppendNew hashes its names only once
+	// something interns into it.
+	byName  map[string]LocID
+	indexed int
+	names   []string
 }
 
 // NewStrings returns an interner with only the empty string registered.
 func NewStrings() *Strings {
-	s := &Strings{byName: make(map[string]LocID)}
-	s.names = append(s.names, "")
-	s.byName[""] = 0
-	return s
+	return &Strings{names: []string{""}}
 }
 
 // Intern returns the id for name, registering it if new.
 func (s *Strings) Intern(name string) LocID {
+	if s.indexed < len(s.names) {
+		s.index()
+	}
 	if id, ok := s.byName[name]; ok {
 		return id
 	}
-	id := LocID(len(s.names))
-	s.names = append(s.names, name)
+	id := s.AppendNew(name)
 	s.byName[name] = id
+	s.indexed++
 	return id
+}
+
+// AppendNew registers name, which must not be registered yet, and returns
+// its id. It does not hash name; the virtual runtime, which knows which
+// names each run has registered, fills its runs' tables this way.
+func (s *Strings) AppendNew(name string) LocID {
+	s.names = append(s.names, name)
+	return LocID(len(s.names) - 1)
+}
+
+// Grow ensures capacity for at least n further names, like Trace.Grow;
+// n <= 0 is a no-op.
+func (s *Strings) Grow(n int) {
+	if n > 0 {
+		s.names = slices.Grow(s.names, n)
+	}
+}
+
+// index adds the names registered by AppendNew to byName.
+func (s *Strings) index() {
+	if s.byName == nil {
+		s.byName = make(map[string]LocID, len(s.names))
+	}
+	for ; s.indexed < len(s.names); s.indexed++ {
+		s.byName[s.names[s.indexed]] = LocID(s.indexed)
+	}
 }
 
 // Name returns the string for id, or "" for out-of-range ids.

@@ -85,6 +85,26 @@ func TestStringsIntern(t *testing.T) {
 	}
 }
 
+// Names registered by AppendNew, unhashed, are found by a later Intern,
+// which indexes them on demand, and interleave with interned ones.
+func TestStringsAppendNew(t *testing.T) {
+	s := NewStrings()
+	s.Grow(-1)
+	s.Grow(4)
+	a := s.AppendNew("foo.go:10")
+	if got := s.Intern("foo.go:10"); got != a {
+		t.Fatalf("Intern after AppendNew = %d, want %d", got, a)
+	}
+	b := s.Intern("foo.go:20")
+	c := s.AppendNew("foo.go:30")
+	if got := s.Intern("foo.go:30"); got != c || b == c || s.Intern("foo.go:20") != b {
+		t.Fatalf("ids a=%d b=%d c=%d, Intern(foo.go:30)=%d", a, b, c, got)
+	}
+	if want := []string{"", "foo.go:10", "foo.go:20", "foo.go:30"}; !reflect.DeepEqual(s.All(), want) {
+		t.Fatalf("All = %q, want %q", s.All(), want)
+	}
+}
+
 func TestBuilderAndAccessors(t *testing.T) {
 	b := NewBuilder()
 	b.On(0).Begin().At("main.go:1").Write(1).Fork(1).Acq(10).Read(2).Rel(10).Join(1).End()

@@ -169,7 +169,7 @@ type replayer struct {
 }
 
 func newReplayer() *replayer {
-	return &replayer{rt: newRuntime(), guided: Guided{recycle: true}}
+	return &replayer{rt: newRuntime()}
 }
 
 // replayPrefix executes one guided run of prefix with panic isolation: a panic

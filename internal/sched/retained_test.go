@@ -177,3 +177,65 @@ func (v resultView) diff(want resultView) string {
 	}
 	return ""
 }
+
+// internObserver interns names into each run's string table before the
+// run starts, as an observer resolving its own names may.
+type internObserver struct{ names []string }
+
+func (o *internObserver) ObserveBatch([]trace.Event) {}
+
+func (o *internObserver) SetStrings(s *trace.Strings) {
+	for _, n := range o.names {
+		s.Intern(n)
+	}
+}
+
+// TestObserverInternedLocationsStayUnique runs an exploration whose
+// observers intern, ahead of every replay, the location names the replay
+// will capture (in reverse, so their ids differ from the capture order).
+// The runtime appends a location to the run's table unhashed while nothing
+// has interned into it; here each name must still appear once, and every
+// event must name the location a replay without the observer names.
+func TestObserverInternedLocationsStayUnique(t *testing.T) {
+	bank, _ := workloads.Get("bank-buggy")
+	p := bank.New(2, 1)
+	ref, err := sched.Run(p, sched.Options{Strategy: &sched.Cooperative{}, RecordTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := slices.Clone(ref.Strings.All())
+	slices.Reverse(names)
+	runs := 0
+	_, err = sched.Explore(p, sched.ExploreOptions{
+		MaxRuns: 200, MaxPreemptions: 2, RecordTrace: true,
+		Observers: func() []sched.Observer { return []sched.Observer{&internObserver{names: names}} },
+		Visit: func(res *sched.Result, err error) bool {
+			if err != nil || res == nil {
+				t.Fatalf("run %d: %v", runs, err)
+			}
+			runs++
+			all := res.Strings.All()
+			sorted := slices.Clone(all)
+			slices.Sort(sorted)
+			if len(slices.Compact(sorted)) != len(all) {
+				t.Fatalf("run %d: a name appears twice in %q", runs, all)
+			}
+			want, err := sched.Run(p, sched.Options{Strategy: sched.NewReplayChoices(res.Schedule, res.Choices), RecordTrace: true})
+			if err != nil {
+				t.Fatalf("run %d: replay: %v", runs, err)
+			}
+			for i, e := range res.Trace.Events {
+				if got, w := res.Strings.Name(e.Loc), want.Strings.Name(want.Trace.Events[i].Loc); got != w {
+					t.Fatalf("run %d: event %d at %q, want %q", runs, i, got, w)
+				}
+			}
+			return true
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs < 2 {
+		t.Fatalf("explored %d runs, want several", runs)
+	}
+}

@@ -50,9 +50,6 @@ type Options struct {
 
 // StringsAware is implemented by observers that want to resolve LocIDs;
 // the runtime hands them the run's string table before execution starts.
-// The runtime is the table's only writer while the run lasts: it appends
-// each location once without looking names up, so an observer that
-// interned into the table could make a name appear twice.
 type StringsAware interface {
 	SetStrings(s *trace.Strings)
 }

@@ -331,7 +331,9 @@ type Guided struct {
 
 	cursor int
 	events int
-	// Points records (runnable set, choice) at every scheduling point.
+	// Points records (runnable set, choice) at every scheduling point. It
+	// and its Runnable sets are valid until the next Reset, which reuses
+	// their arrays for the next run.
 	Points []ChoicePoint
 
 	// arena backs the Runnable copies of this run's Points. Each copy is a
@@ -339,10 +341,6 @@ type Guided struct {
 	// cannot overwrite the next, and the arena grows by plain append: the
 	// windows cut before a growth keep the array they were cut from.
 	arena []trace.TID
-	// recycle makes Reset keep the arrays of Points and arena for the next
-	// run instead of dropping them. An exploration sets it on its own
-	// Guided, whose Points it has expanded before the next run starts.
-	recycle bool
 }
 
 // record appends cp with the arena's tail from i as its Runnable.
@@ -375,16 +373,13 @@ func (s *Guided) Name() string { return "guided" }
 // Seed implements Strategy.
 func (s *Guided) Seed() int64 { return 0 }
 
-// Reset implements Strategy. It starts a new Points slice and arena, so
-// the Points of a finished run stay valid after the next run begins.
+// Reset implements Strategy. It truncates Points and the arena and keeps
+// their arrays for the next run, so a caller that needs a run's Points
+// past the next Reset must copy them.
 func (s *Guided) Reset() {
 	s.cursor = 0
 	s.events = 0
-	if s.recycle {
-		s.Points, s.arena = s.Points[:0], s.arena[:0]
-		return
-	}
-	s.Points, s.arena = nil, nil
+	s.Points, s.arena = s.Points[:0], s.arena[:0]
 }
 
 // Preempt implements Strategy: every event is a scheduling point, so the

@@ -240,11 +240,16 @@ func buildsFile(dir string, fi fs.FileInfo) bool {
 	if strings.HasSuffix(fi.Name(), "_test.go") {
 		return false
 	}
-	ctxt := build.Default
-	ctxt.CgoEnabled = false
-	ok, err := ctxt.MatchFile(dir, fi.Name())
+	ok, err := hostBuild.MatchFile(dir, fi.Name())
 	return ok || err != nil
 }
+
+// hostBuild is the build context buildsFile matches files against.
+var hostBuild = func() build.Context {
+	ctxt := build.Default
+	ctxt.CgoEnabled = false
+	return ctxt
+}()
 
 // indexDecls records every FuncDecl's types.Func for cross-package inlining.
 func (l *loader) indexDecls(files []*ast.File) {

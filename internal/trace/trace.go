@@ -194,9 +194,9 @@ type Event struct {
 // Strings is an append-only interner mapping names to dense ids. Id 0 is
 // reserved for the empty string.
 type Strings struct {
-	// byName indexes names[:indexed]. Intern brings it up to date first,
-	// so a table filled through AppendNew hashes its names only once
-	// something interns into it.
+	// byName indexes names[:indexed]. Intern creates it and brings it up
+	// to date first, so a table filled through AppendNew hashes its names
+	// only once something interns into it.
 	byName  map[string]LocID
 	indexed int
 	names   []string
@@ -215,16 +215,22 @@ func (s *Strings) Intern(name string) LocID {
 	if id, ok := s.byName[name]; ok {
 		return id
 	}
-	id := s.AppendNew(name)
+	s.names = append(s.names, name)
+	id := LocID(len(s.names) - 1)
 	s.byName[name] = id
 	s.indexed++
 	return id
 }
 
-// AppendNew registers name, which must not be registered yet, and returns
-// its id. It does not hash name; the virtual runtime, which knows which
-// names each run has registered, fills its runs' tables this way.
+// AppendNew registers name, which no earlier AppendNew registered, and
+// returns its id. Until something interns into s it appends name without
+// hashing it; from then on it is Intern, so a name an Intern registered is
+// not registered twice. The virtual runtime, which knows which names each
+// run has appended, fills its runs' tables this way.
 func (s *Strings) AppendNew(name string) LocID {
+	if s.byName != nil {
+		return s.Intern(name)
+	}
 	s.names = append(s.names, name)
 	return LocID(len(s.names) - 1)
 }

@@ -105,6 +105,23 @@ func TestStringsAppendNew(t *testing.T) {
 	}
 }
 
+// Once something has interned into the table, AppendNew of a name an
+// Intern registered returns that name's id instead of a second one.
+func TestStringsAppendNewAfterIntern(t *testing.T) {
+	s := NewStrings()
+	a := s.Intern("foo.go:10")
+	if got := s.AppendNew("foo.go:10"); got != a {
+		t.Fatalf("AppendNew after Intern = %d, want %d", got, a)
+	}
+	b := s.AppendNew("foo.go:20")
+	if got := s.Intern("foo.go:20"); got != b {
+		t.Fatalf("Intern after AppendNew = %d, want %d", got, b)
+	}
+	if want := []string{"", "foo.go:10", "foo.go:20"}; !reflect.DeepEqual(s.All(), want) {
+		t.Fatalf("All = %q, want %q", s.All(), want)
+	}
+}
+
 func TestBuilderAndAccessors(t *testing.T) {
 	b := NewBuilder()
 	b.On(0).Begin().At("main.go:1").Write(1).Fork(1).Acq(10).Read(2).Rel(10).Join(1).End()

@@ -18,8 +18,7 @@ import (
 // internal/sched's digest golden, which the legacy two-hop handoff
 // recorded: event count, switch accounting, final state, the schedule and
 // event hash and the location hash must all match. Collect's parallel
-// fan-out and event-buffer hint must leave every run as a plain
-// sequential run recorded it.
+// fan-out must leave every run as a plain sequential run recorded it.
 func TestHandoffDifferentialWorkloads(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "sched", "testdata", "digest.golden"))
 	if err != nil {

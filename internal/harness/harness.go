@@ -110,34 +110,20 @@ type Collected struct {
 func Collect(spec workloads.Spec, cfg Config) (*Collected, error) {
 	cfg.ensurePool()
 	strategies := sched.BatteryStrategies(cfg.seeds())
-	runOne := func(strat sched.Strategy, hint int) (*sched.Result, error) {
-		res, err := sched.Run(spec.New(cfg.Threads, cfg.Size), sched.Options{
-			Strategy:    strat,
-			RecordTrace: true,
-			EventsHint:  hint,
-		})
+	results, err := mapIdx(cfg.pool, len(strategies), func(i int) (*sched.Result, error) {
+		strat := strategies[i]
+		res, err := sched.Run(spec.New(cfg.Threads, cfg.Size), sched.Options{Strategy: strat, RecordTrace: true})
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s under %s: %w", spec.Name, strat.Name(), err)
 		}
 		return res, nil
-	}
-	// The first run sizes the event buffers of the rest: schedules differ,
-	// but the event count of one workload configuration barely moves.
-	first, err := runOne(strategies[0], 0)
-	if err != nil {
-		return nil, err
-	}
-	hint := first.Events + first.Events/8
-	rest, err := mapIdx(cfg.pool, len(strategies)-1, func(i int) (*sched.Result, error) {
-		return runOne(strategies[i+1], hint)
 	})
 	if err != nil {
 		return nil, err
 	}
-	col := &Collected{Spec: spec}
-	for _, res := range append([]*sched.Result{first}, rest...) {
+	col := &Collected{Spec: spec, Results: results}
+	for _, res := range results {
 		col.Traces = append(col.Traces, res.Trace)
-		col.Results = append(col.Results, res)
 	}
 	return col, nil
 }

@@ -7,10 +7,11 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultBatchSize is the runtime's event-batch buffer size when
-// Options.BatchSize is zero. 4096 events (128 KiB of trace.Event) amortizes
-// the per-observer interface dispatch ~4000× while the batch plus one
-// analysis's working set stays cache-resident.
+// DefaultBatchSize is the number of events in an observer batch when
+// Options.BatchSize is zero, and the size of a staging chunk. 4096 events
+// (128 KiB of trace.Event) amortizes the per-observer interface dispatch
+// ~4000× while the batch plus one analysis's working set stays
+// cache-resident.
 const DefaultBatchSize = 4096
 
 // FeedTrace streams a recorded trace through observers exactly once:

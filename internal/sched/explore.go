@@ -159,9 +159,9 @@ func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc
 // replayer is the state a search keeps across its replays: the runtime,
 // whose buffers each run recycles (see Runtime), the search's Guided
 // strategy, whose choice-point log and arena each run refills, and the
-// previous run's event count, which presizes the next run's trace and
-// schedule through Options.EventsHint. Nothing it keeps reaches a Result,
-// so Visit may retain every Result it is given.
+// previous run's event count, which presizes the next run's observers
+// through Options.EventsHint. Nothing it keeps reaches a Result, so Visit
+// may retain every Result it is given.
 type replayer struct {
 	rt     *Runtime
 	guided Guided

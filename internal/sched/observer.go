@@ -8,9 +8,11 @@ import "repro/internal/trace"
 // batch of a run may be shorter, and on an aborted run it ends at the last
 // event emitted before the abort.
 //
-// The batch slice is owned by the caller and reused (or aliases a recorded
-// trace); observers must consume it synchronously and must not retain it
-// past the call.
+// The batch slice is owned by the caller: in a run, a window of the run's
+// staging log, whose chunks the runtime refills; in FeedTrace, a window of
+// the recorded trace. It is valid only during the call, so observers must
+// consume it synchronously, must not retain it past the call, and must not
+// modify it.
 type Observer interface {
 	ObserveBatch(batch []trace.Event)
 }

@@ -20,17 +20,20 @@ type Options struct {
 	// are stateful; a fresh run calls Reset and then owns the value, so do
 	// not share one Strategy across concurrent runs.
 	Strategy Strategy
-	// Observers receive every event, in trace order, as contiguous batches
-	// (see Observer).
+	// Observers receive every event, in trace order, as contiguous batches:
+	// windows of the run's staging log, valid only during the call (see
+	// Observer).
 	Observers []Observer
 	// RecordTrace retains the full event sequence in Result.Trace.
 	RecordTrace bool
 	// MaxEvents aborts runaway executions; 0 means the default (5M).
 	MaxEvents int
-	// EventsHint presizes the schedule and trace buffers for runs whose
-	// approximate event count is known up front (e.g. re-running one
-	// workload under many schedules). Purely an allocation hint; 0 means
-	// grow from empty.
+	// EventsHint is forwarded to observers that presize their state for an
+	// expected event count (EventsHinted), for runs whose approximate event
+	// count is known up front (e.g. re-running one workload under many
+	// schedules). Purely an allocation hint; 0 sends none. The runtime
+	// sizes its own buffers: it stages events in reused chunks and gives
+	// the Result a trace and schedule of exactly the run's length.
 	EventsHint int
 	// DisableLocations skips source-location capture (faster; used by the
 	// overhead experiments' baseline configurations).
@@ -40,11 +43,13 @@ type Options struct {
 	// unwinding every virtual thread so no goroutine leaks. nil (the
 	// default) keeps the per-event hot path free of context checks.
 	Ctx context.Context
-	// BatchSize is the observers' event-batch buffer size; 0 means
-	// DefaultBatchSize (4096). Batching changes *when* an observer sees
-	// events (at flush points: buffer full, or run end — including aborted
-	// runs), never which events or their order, so analyses observe the
-	// identical sequence at any size.
+	// BatchSize is the number of events in each observer batch but the
+	// last; 0 means DefaultBatchSize (4096). A batch is a window of the
+	// run's staging log, whose chunks hold a whole number of batches, valid
+	// only during the ObserveBatch call. Batching changes *when* an
+	// observer sees events (at flush points: a batch full, or run end —
+	// including aborted runs), never which events or their order, so
+	// analyses observe the identical sequence at any size.
 	BatchSize int
 }
 
@@ -154,7 +159,8 @@ type Result struct {
 	// FinalVolatiles holds the final value of every volatile variable.
 	FinalVolatiles []int64
 	// Schedule is the tid of each event in execution order; feeding it to
-	// NewReplay reproduces this run exactly.
+	// NewReplay reproduces this run exactly, a deadlocked run included:
+	// nothing its threads run while they are killed is recorded.
 	Schedule []trace.TID
 	// Choices is the committed case index of every select decision, in
 	// commit order. Replaying requires both Schedule and Choices when the
@@ -268,10 +274,10 @@ var errKilled = errors.New("sched: thread killed")
 // An exploration runs all its replays on one Runtime, and Run makes a
 // fresh one for its single run. Each run starts from reset, which keeps
 // the buffers no Result refers to (thread records, lock, condition and
-// channel state, the observer batch, the location cache, the scheduling
-// scratch) and allocates afresh everything a Result holds (trace, string
-// table, symbols, final values, schedule, choices), so a Result stays
-// intact however many runs follow it.
+// channel state, the staging log's chunks, the location cache, the
+// scheduling scratch) and allocates afresh everything a Result holds
+// (trace, string table, symbols, final values, schedule, choices), so a
+// Result stays intact however many runs follow it.
 type Runtime struct {
 	prog  *Program
 	opts  Options
@@ -292,12 +298,10 @@ type Runtime struct {
 	strings   *trace.Strings
 	tr        *trace.Trace
 	observers []Observer
-	// batch holds the pending events not yet flushed to observers; it is
-	// nil when the run has none. batchBuf keeps its array across runs.
-	batch    []trace.Event
-	batchBuf []trace.Event
-	symbols  *Symbols
-	schedule []trace.TID
+	symbols   *Symbols
+	// log stages the run's events; its chunks are kept across runs and
+	// returned to chunkPool by close.
+	log stageLog
 
 	methodIDs map[string]uint64
 
@@ -374,8 +378,12 @@ func newRuntime() *Runtime {
 	return &Runtime{pool: newThreadPool(), toSched: make(chan struct{}), methodIDs: make(map[string]uint64)}
 }
 
-// close stops the runtime's pooled goroutines.
-func (rt *Runtime) close() { rt.pool.close() }
+// close stops the runtime's pooled goroutines and returns its staging
+// chunks to the pool.
+func (rt *Runtime) close() {
+	rt.pool.close()
+	rt.log.release()
+}
 
 // reset readies rt for a run of p: every field is zeroed except the
 // buffers kept across runs, which are emptied.
@@ -391,7 +399,7 @@ func (rt *Runtime) reset(p *Program, opts Options) {
 		conds:       resized(rt.conds, len(p.conds)),
 		chs:         resized(rt.chs, len(p.chans)),
 		observers:   opts.Observers,
-		batchBuf:    rt.batchBuf,
+		log:         rt.log,
 		methodIDs:   rt.methodIDs,
 		toSched:     rt.toSched,
 		maxEvents:   opts.MaxEvents,
@@ -411,16 +419,14 @@ func (rt *Runtime) reset(p *Program, opts Options) {
 		ch := &rt.chs[i]
 		*ch = chanState{cap: p.chans[i].cap, buf: ch.buf[:0], pending: ch.pending[:0]}
 	}
+	batch := 0
 	if len(opts.Observers) > 0 {
-		size := opts.BatchSize
-		if size <= 0 {
-			size = DefaultBatchSize
+		batch = opts.BatchSize
+		if batch <= 0 {
+			batch = DefaultBatchSize
 		}
-		if cap(rt.batchBuf) != size {
-			rt.batchBuf = make([]trace.Event, 0, size)
-		}
-		rt.batch = rt.batchBuf[:0]
 	}
+	rt.log.reset(batch)
 	if rt.maxEvents <= 0 {
 		rt.maxEvents = 5_000_000
 	}
@@ -467,15 +473,11 @@ func (rt *Runtime) run(p *Program, opts Options) (*Result, error) {
 		Threads:   make([]string, 0, cap(rt.threads)),
 		Chans:     chanNames(p.chans),
 	}
-	if opts.EventsHint > 0 {
-		rt.schedule = make([]trace.TID, 0, opts.EventsHint)
-	}
 	if opts.RecordTrace {
 		rt.tr = &trace.Trace{Strings: rt.strings}
 		rt.tr.Meta.Workload = p.name
 		rt.tr.Meta.Strategy = opts.Strategy.Name()
 		rt.tr.Meta.Seed = opts.Strategy.Seed()
-		rt.tr.Grow(opts.EventsHint)
 	}
 	// Observers get the string table and the presize hint before the first
 	// batch, so they grow their state once.
@@ -512,6 +514,15 @@ func (rt *Runtime) run(p *Program, opts Options) (*Result, error) {
 	}
 	rt.flushMetrics()
 
+	// The run's schedule and trace are allocated once, at their final
+	// length, and filled from the staging log.
+	schedule := make([]trace.TID, rt.log.len())
+	var events []trace.Event
+	if rt.tr != nil {
+		events = make([]trace.Event, len(schedule))
+		rt.tr.Events = events
+	}
+	rt.log.fill(schedule, events)
 	res := &Result{
 		Trace:          rt.tr,
 		Events:         rt.events,
@@ -520,7 +531,7 @@ func (rt *Runtime) run(p *Program, opts Options) (*Result, error) {
 		Symbols:        rt.symbols,
 		FinalVars:      rt.vals,
 		FinalVolatiles: rt.volVals,
-		Schedule:       rt.schedule,
+		Schedule:       schedule,
 		Choices:        rt.choices,
 		Stats: SchedStats{
 			Switches:        rt.switches,
@@ -657,10 +668,10 @@ func (rt *Runtime) handoff(t *thread, parkAfter bool) {
 	if rt.killed {
 		// Only a dying thread can observe this: killAll holds the baton
 		// and resumes parked threads one by one, each unwinding via
-		// errKilled. An op in one of its defers (a WithLock's Release)
-		// that reaches a preemption point or blocks is aborted here, so
-		// that only the exit in threadBody's defer completes killAll's
-		// resume/toSched handshake, once per thread.
+		// errKilled. An op in one of its defers that blocks (a deferred
+		// Acquire or Join) is aborted here, so that only the exit in
+		// threadBody's defer completes killAll's resume/toSched
+		// handshake, once per thread.
 		if parkAfter {
 			panic(errKilled)
 		}
@@ -775,9 +786,10 @@ func (rt *Runtime) deadlockError() error {
 
 // waitsForCycle searches the waits-for graph — a blocked thread points at
 // the thread it transitively needs (the lock owner or the joined child) —
-// and returns one cycle's thread ids, or nil. Condition waits have no
-// out-edge (their waker is unknowable), so pure lost-wakeup deadlocks
-// report without a cycle.
+// and returns one cycle's thread ids, or nil. The walks start in thread id
+// order, so a run and its replay report the same cycle. Condition waits
+// have no out-edge (their waker is unknowable), so pure lost-wakeup
+// deadlocks report without a cycle.
 func (rt *Runtime) waitsForCycle() []trace.TID {
 	next := make(map[trace.TID]trace.TID)
 	for _, t := range rt.threads {
@@ -793,7 +805,8 @@ func (rt *Runtime) waitsForCycle() []trace.TID {
 			next[t.id] = trace.TID(t.waitID)
 		}
 	}
-	for start := range next {
+	for _, t := range rt.threads {
+		start := t.id
 		slow, ok := next[start]
 		if !ok {
 			continue
@@ -853,9 +866,6 @@ func (rt *Runtime) threadBody(x *T) {
 		rt.wakeJoiners(t.id)
 		rt.handoff(t, false)
 	}()
-	if rt.killed {
-		panic(errKilled)
-	}
 	rt.emit(t, trace.OpBegin, 0, locNone)
 	t.proc(x)
 	rt.emit(t, trace.OpEnd, 0, locNone)
@@ -930,10 +940,16 @@ func (rt *Runtime) emitPC(t *thread, op trace.Op, target uint64, pc uintptr) {
 // preemption opportunity. loc is final: op methods resolve their call site
 // via sitePC/emitPC; runtime-internal events pass locNone.
 func (rt *Runtime) emit(t *thread, op trace.Op, target uint64, loc trace.LocID) {
+	if rt.killed {
+		// killAll is unwinding t, and an op in one of its defers (a
+		// WithLock's Release) never happened in the run: recording it
+		// would end a deadlocked run's schedule in events that its replay
+		// cannot reproduce.
+		panic(errKilled)
+	}
 	if loc == locNone {
 		loc = 0
 	}
-	e := trace.Event{Idx: rt.events, Tid: t.id, Op: op, Target: target, Loc: loc}
 	rt.events++
 	if op == trace.OpYield {
 		rt.yields++
@@ -952,19 +968,17 @@ func (rt *Runtime) emit(t *thread, op trace.Op, target uint64, loc trace.LocID) 
 			panic(errKilled)
 		}
 	}
-	rt.schedule = append(rt.schedule, t.id)
-	if rt.tr != nil {
-		rt.tr.Append(e)
+	if len(rt.log.cur) == cap(rt.log.cur) {
+		rt.log.next()
 	}
-	if rt.batch != nil {
-		rt.batch = append(rt.batch, e)
-		if len(rt.batch) == cap(rt.batch) {
-			// Full buffer: fan the batch out to every observer. This runs
-			// on the emitting virtual thread's goroutine, so an observer
-			// panic here is caught by threadBody's recover and isolated
-			// like any other panic inside a virtual thread.
-			rt.flushBatch()
-		}
+	e := trace.Event{Idx: rt.log.done + len(rt.log.cur), Tid: t.id, Op: op, Target: target, Loc: loc}
+	rt.log.cur = append(rt.log.cur, e)
+	if rt.log.batch > 0 && len(rt.log.cur)-rt.log.flushed == rt.log.batch {
+		// A full batch: fan it out to every observer. This runs on the
+		// emitting virtual thread's goroutine, so an observer panic here
+		// is caught by threadBody's recover and isolated like any other
+		// panic inside a virtual thread.
+		rt.flushBatch()
 	}
 	// The strategy is always consulted (replay counts events in Preempt),
 	// but a thread is never parked on its end event: it is about to hand
@@ -975,18 +989,19 @@ func (rt *Runtime) emit(t *thread, op trace.Op, target uint64, loc trace.LocID) 
 	}
 }
 
-// flushBatch hands the pending event batch to every observer and resets
-// the buffer for reuse. Observers must not retain the slice.
+// flushBatch hands the events staged since the last flush to every
+// observer, as a window of the current chunk. Observers must not retain
+// the slice.
 func (rt *Runtime) flushBatch() {
-	pending := rt.batch
+	pending := rt.log.cur[rt.log.flushed:]
 	if len(pending) == 0 {
 		return
 	}
-	// Clear before delivering: if an observer panics mid-fanout, the batch
+	// Mark before delivering: if an observer panics mid-fanout, the batch
 	// is not re-delivered to observers that already consumed it (the run is
 	// aborted and its analysis results discarded anyway). Exactly one
 	// goroutine runs at a time, so nothing appends while we iterate.
-	rt.batch = rt.batch[:0]
+	rt.log.flushed = len(rt.log.cur)
 	if rt.phaseOn {
 		t0 := time.Now()
 		for _, o := range rt.observers {
@@ -1006,7 +1021,7 @@ func (rt *Runtime) flushBatch() {
 // virtual thread produces, stack included, and the explorers report it as
 // an *ExploreError finding either way.
 func (rt *Runtime) flushBatchFinal() (err error) {
-	if len(rt.batch) == 0 {
+	if rt.log.batch == 0 || len(rt.log.cur) == rt.log.flushed {
 		return nil
 	}
 	defer func() {

@@ -40,7 +40,7 @@ func main() {
 		// the fused Table 3 pipeline instead of two per-checker scans.
 		az := atom.New(atom.Options{MethodsAtomic: *methods})
 		vc := velodrome.New(velodrome.Options{MethodsAtomic: *methods})
-		sched.FeedTrace(tr, 0, az, vc)
+		sched.FeedTrace(tr, az, vc)
 		velo := vc.Violations()
 		vc.FlushMetrics(len(velo))
 		fmt.Printf("schedule %d (%s): atomizer %d violation(s), velodrome %d unserializable\n",

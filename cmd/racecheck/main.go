@@ -46,7 +46,7 @@ func main() {
 		// the fused Table 3 pipeline instead of two per-checker scans.
 		d := race.New()
 		ls := lockset.New()
-		sched.FeedTrace(tr, 0, d, ls)
+		sched.FeedTrace(tr, d, ls)
 		d.FlushMetrics()
 		ls.FlushMetrics()
 		fmt.Printf("schedule %d (%s): fasttrack %d race(s), lockset %d warning(s)\n",
@@ -65,7 +65,7 @@ func main() {
 	// Lock-order (potential deadlock) analysis over the union of traces.
 	lo := lockorder.New()
 	for _, tr := range traces {
-		sched.FeedTrace(tr, 0, lo)
+		sched.FeedTrace(tr, lo)
 	}
 	potential := lo.Unguarded()
 	for _, w := range potential {

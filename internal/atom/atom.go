@@ -122,21 +122,6 @@ func New(opts Options) *Checker {
 	}
 }
 
-// HintEvents presizes internal state for a run of about n events; the
-// virtual runtime forwards sched.Options.EventsHint here before the first
-// event or batch. The hint flows through to the classifier's embedded race
-// detector (online mode), whose clock arena is the only event-proportional
-// allocation the checker owns.
-func (c *Checker) HintEvents(n int) {
-	if n <= 0 || c.events > 0 {
-		return
-	}
-	if c.threads == nil {
-		c.threads = make([]threadState, 0, 16)
-	}
-	c.cls.HintEvents(n)
-}
-
 func (c *Checker) state(t trace.TID) *threadState {
 	if int(t) < len(c.threads) {
 		return &c.threads[t]
@@ -268,7 +253,6 @@ func (c *Checker) Events() int { return c.events }
 // Analyze runs a fresh checker over a complete trace.
 func Analyze(tr *trace.Trace, opts Options) *Checker {
 	c := New(opts)
-	c.HintEvents(tr.Len())
 	for _, e := range tr.Events {
 		c.Event(e)
 	}

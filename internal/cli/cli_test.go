@@ -86,6 +86,11 @@ func TestByteSize(t *testing.T) {
 		{"MiB", 0, true},
 		{"-1", 0, true},
 		{"lots", 0, true},
+		{"inf", 0, true},
+		{"nan", 0, true},
+		{"1e19", 0, true},
+		{"9223372036854775807", 0, true},
+		{"8589934592GiB", 0, true},
 	}
 	for _, c := range cases {
 		var b ByteSize

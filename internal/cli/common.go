@@ -43,10 +43,13 @@ func (b *ByteSize) Set(s string) error {
 		}
 	}
 	v, err := strconv.ParseFloat(u, 64)
-	if err != nil || v < 0 {
+	n := v * float64(mult)
+	// The negated range test also rejects NaN; 2^63 bytes and more do not
+	// fit the int64 a budget is, and would convert to a negative one.
+	if err != nil || !(n >= 0 && n < 1<<63) {
 		return fmt.Errorf("invalid byte size %q (want e.g. 1048576, 512MiB, 2GB)", s)
 	}
-	*b = ByteSize(v * float64(mult))
+	*b = ByteSize(n)
 	return nil
 }
 

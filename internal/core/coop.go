@@ -205,10 +205,10 @@ func New(opts Options) *Checker {
 // its embedded race detector).
 func (c *Checker) Classifier() *movers.Classifier { return c.cls }
 
-// HintEvents presizes internal state for a run of about n events; the
-// virtual runtime forwards sched.Options.EventsHint here before the first
-// event or batch. The hint flows through to the classifier's embedded race
-// detector (online mode), the checker's only event-proportional state.
+// HintEvents presizes the checker's thread states, and in online mode the
+// classifier's embedded race detector, for a trace of n events
+// (sched.EventsHinted); FeedTrace and Analyze pass the trace's exact
+// length. A no-op once events have been processed.
 func (c *Checker) HintEvents(n int) {
 	if n <= 0 || c.stats.Events > 0 {
 		return

@@ -44,11 +44,12 @@ func TestFusedDifferentialChanWorkloads(t *testing.T) {
 					}
 				}
 			}
-			batch := sched.DefaultBatchSize
+			label := fmt.Sprintf("%s seed %d", name, seed)
+			diffFused(t, label, res.Trace)
 			if seed%2 == 1 {
-				batch = 3 + int(seed%13)
+				n := 3 + int(seed%13)
+				diffWindows(t, fmt.Sprintf("%s (windows of %d)", label, n), res.Trace, n)
 			}
-			diffFused(t, fmt.Sprintf("%s seed %d (batch %d)", name, seed, batch), res.Trace, batch)
 		}
 		if !sawChanOps {
 			t.Errorf("%s: no chan ops in any trace — the differential is vacuous", name)

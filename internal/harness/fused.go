@@ -35,12 +35,8 @@ var (
 //
 // Warnings are byte-identical to the per-checker Analyze functions.
 //
-// The zero value is ready to use.
-type FusedRunner struct {
-	// BatchSize is the event-batch granularity handed to observers; zero
-	// means sched.DefaultBatchSize.
-	BatchSize int
-}
+// The zero value is ready to use; it has no settings.
+type FusedRunner struct{}
 
 // FusedAnalysis bundles the per-trace results of one fused run. The
 // checker instances are the live analyses — read their accessors exactly
@@ -64,7 +60,7 @@ type FusedAnalysis struct {
 
 // Analyze runs the fused pipeline over one recorded trace. Metrics are
 // flushed once per checker, matching the per-checker Analyze functions.
-func (f FusedRunner) Analyze(tr *trace.Trace) *FusedAnalysis {
+func (FusedRunner) Analyze(tr *trace.Trace) *FusedAnalysis {
 	var ftr *flight.Track
 	if fr := flight.Active(); fr != nil {
 		ftr = fr.Acquire("fused")
@@ -75,7 +71,7 @@ func (f FusedRunner) Analyze(tr *trace.Trace) *FusedAnalysis {
 	ls := lockset.New()
 	vc := velodrome.New(velodrome.Options{MethodsAtomic: true})
 	sp1 := mFusedPass1.Begin(ftr, 0, flight.A("events", int64(tr.Len())))
-	sched.FeedTrace(tr, f.BatchSize, d, ls, vc)
+	sched.FeedTrace(tr, d, ls, vc)
 	vios := vc.Violations()
 	d.FlushMetrics()
 	ls.FlushMetrics()
@@ -86,7 +82,7 @@ func (f FusedRunner) Analyze(tr *trace.Trace) *FusedAnalysis {
 	ac := atom.New(atom.Options{MethodsAtomic: true, RaceOnsets: d.RaceOnsets()})
 	coop := core.New(core.Options{Policy: movers.DefaultPolicy(), KnownRaces: known})
 	sp2 := mFusedPass2.Begin(ftr, 0, flight.A("events", int64(tr.Len())))
-	sched.FeedTrace(tr, f.BatchSize, ac, coop)
+	sched.FeedTrace(tr, ac, coop)
 	coop.FlushMetrics()
 	sp2.End()
 

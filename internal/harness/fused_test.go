@@ -48,10 +48,48 @@ func analyzeLegacy(tr *trace.Trace) legacyAnalysis {
 	}
 }
 
-func diffFused(t *testing.T, label string, tr *trace.Trace, batchSize int) {
+// diffFused holds FusedRunner to the legacy per-event results.
+func diffFused(t *testing.T, label string, tr *trace.Trace) {
 	t.Helper()
-	want := analyzeLegacy(tr)
-	fa := FusedRunner{BatchSize: batchSize}.Analyze(tr)
+	diffAnalysis(t, label, FusedRunner{}.Analyze(tr), analyzeLegacy(tr))
+}
+
+// diffWindows feeds every Table 3 checker, wired as FusedRunner wires them,
+// the trace in windows of n events through ObserveBatch, so that batch
+// boundaries fall at odd places, and holds the results to the legacy
+// per-event ones.
+func diffWindows(t *testing.T, label string, tr *trace.Trace, n int) {
+	t.Helper()
+	feed := func(observers ...sched.Observer) {
+		for _, o := range observers {
+			if sa, ok := o.(sched.StringsAware); ok {
+				sa.SetStrings(tr.Strings)
+			}
+		}
+		for start := 0; start < tr.Len(); start += n {
+			batch := tr.Events[start:min(start+n, tr.Len())]
+			for _, o := range observers {
+				o.ObserveBatch(batch)
+			}
+		}
+	}
+	d, ls := race.New(), lockset.New()
+	vc := velodrome.New(velodrome.Options{MethodsAtomic: true})
+	feed(d, ls, vc)
+	known := d.RacyVarSet()
+	ac := atom.New(atom.Options{MethodsAtomic: true, RaceOnsets: d.RaceOnsets()})
+	coop := core.New(core.Options{Policy: movers.DefaultPolicy(), KnownRaces: known})
+	feed(ac, coop)
+	fa := &FusedAnalysis{
+		Race: d, Lockset: ls, Atom: ac, Velodrome: vc,
+		VeloViolations: vc.Violations(), Coop: coop, KnownRaces: known,
+	}
+	diffAnalysis(t, label, fa, analyzeLegacy(tr))
+}
+
+// diffAnalysis requires every checker of fa to agree with want.
+func diffAnalysis(t *testing.T, label string, fa *FusedAnalysis, want legacyAnalysis) {
+	t.Helper()
 	if got := fa.Race.RacyVars(); !reflect.DeepEqual(got, want.racyVars) {
 		t.Fatalf("%s: racy vars: fused %v, legacy %v", label, got, want.racyVars)
 	}
@@ -77,8 +115,9 @@ func diffFused(t *testing.T, label string, tr *trace.Trace, batchSize int) {
 
 // TestFusedDifferentialFuzz sweeps 200 generated programs through the
 // fused batched pipeline and the legacy per-event path; every checker must
-// produce the identical violation set. Small odd batch sizes exercise
-// batch-boundary handling, the default exercises the production shape.
+// produce the identical violation set. FusedRunner runs every seed; odd
+// seeds also feed the checkers windows of 3-15 events, so that batch
+// boundaries fall mid-transaction.
 func TestFusedDifferentialFuzz(t *testing.T) {
 	const seeds = 200
 	for seed := int64(0); seed < seeds; seed++ {
@@ -94,11 +133,11 @@ func TestFusedDifferentialFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		batch := sched.DefaultBatchSize
+		diffFused(t, fmt.Sprintf("seed %d", seed), res.Trace)
 		if seed%2 == 1 {
-			batch = 3 + int(seed%13)
+			n := 3 + int(seed%13)
+			diffWindows(t, fmt.Sprintf("seed %d (windows of %d)", seed, n), res.Trace, n)
 		}
-		diffFused(t, fmt.Sprintf("seed %d (batch %d)", seed, batch), res.Trace, batch)
 	}
 }
 
@@ -113,7 +152,7 @@ func TestFusedDifferentialWorkloads(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, tr := range col.Traces {
-			diffFused(t, fmt.Sprintf("%s trace %d", spec.Name, i), tr, sched.DefaultBatchSize)
+			diffFused(t, fmt.Sprintf("%s trace %d", spec.Name, i), tr)
 		}
 	}
 }

@@ -85,11 +85,6 @@ func timeRun(spec workloads.Spec, size int, setup func(*sched.Options), reps int
 	events := 0
 	for r := 0; r < reps; r++ {
 		opts := sched.Options{Strategy: sched.NewRandom(1)}
-		// After the first rep the event count is known exactly (the seeded
-		// schedule is fixed), so later reps presize runtime buffers and
-		// observer state via the EventsHint plumbing — timing steady-state
-		// analysis cost rather than growth reallocation.
-		opts.EventsHint = events
 		setup(&opts)
 		start := time.Now()
 		res, err := sched.Run(spec.New(0, size), opts)

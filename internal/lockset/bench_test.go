@@ -65,7 +65,7 @@ func runLocksetBench(b *testing.B, tr *trace.Trace) {
 	events := len(tr.Events)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := NewSized(events)
+		c := New()
 		for _, e := range tr.Events {
 			c.Event(e)
 		}

@@ -149,25 +149,6 @@ type Checker struct {
 // New returns an empty lockset checker.
 func New() *Checker { return &Checker{} }
 
-// NewSized returns an empty checker presized for a trace of about hint
-// events (an allocation hint, matching sched.Options.EventsHint).
-func NewSized(hint int) *Checker {
-	c := New()
-	c.HintEvents(hint)
-	return c
-}
-
-// HintEvents presizes internal buffers; the virtual runtime forwards
-// sched.Options.EventsHint here before a run starts.
-func (c *Checker) HintEvents(n int) {
-	if n <= 0 || c.events > 0 {
-		return
-	}
-	if c.held == nil {
-		c.held = make([]heldLocks, 0, 16)
-	}
-}
-
 func (c *Checker) locksOf(t trace.TID) *heldLocks {
 	if ti := int(t); ti < len(c.held) {
 		return &c.held[ti]
@@ -315,7 +296,7 @@ func (c *Checker) Events() int { return int(c.events) }
 
 // Analyze runs a fresh checker over a complete trace.
 func Analyze(tr *trace.Trace) *Checker {
-	c := NewSized(tr.Len())
+	c := New()
 	for _, e := range tr.Events {
 		c.Event(e)
 	}

@@ -282,9 +282,9 @@ func NewWithRaceOnsets(policy Policy, onsets map[uint64]int) *Classifier {
 	return c
 }
 
-// HintEvents presizes the embedded race detector (online mode) for a run of
-// about n events; a no-op in two-pass mode. Checkers forward their own
-// HintEvents here so sched.Options.EventsHint reaches the detector's arena.
+// HintEvents presizes the embedded race detector (online mode) for a trace
+// of n events; a no-op in two-pass mode. core.Checker forwards its own
+// hint here.
 func (c *Classifier) HintEvents(n int) {
 	if c.detector != nil {
 		c.detector.HintEvents(n)

@@ -69,15 +69,17 @@ func raceBenchTraceRacy(nThreads, rounds int) *trace.Trace {
 	return b.Trace()
 }
 
-// runRaceBench feeds tr through a fresh presized detector per iteration, so
-// allocs/op is the total allocation cost of analyzing one trace.
+// runRaceBench feeds tr through a fresh detector per iteration, its arena
+// sized from the trace's length as FeedTrace sizes it, so allocs/op is the
+// total allocation cost of analyzing one trace.
 func runRaceBench(b *testing.B, tr *trace.Trace) {
 	b.Helper()
 	b.ReportAllocs()
 	events := len(tr.Events)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := NewSized(events)
+		d := New()
+		d.HintEvents(events)
 		for _, e := range tr.Events {
 			d.Event(e)
 		}

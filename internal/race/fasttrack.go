@@ -99,7 +99,7 @@ func chanKey(id uint64) uint64 { return id<<2 | 2 }
 
 // Detector is a streaming FastTrack race detector. Feed it every event of a
 // trace in order via ObserveBatch (or Event); it implements sched.Observer.
-// The zero value is not usable; call New or NewSized.
+// The zero value is not usable; call New.
 type Detector struct {
 	// threads[t] is thread t's clock, nil until the thread is observed.
 	// TIDs are dense (the runtime assigns consecutive ids), so a slice
@@ -149,17 +149,10 @@ type Detector struct {
 // New returns an empty detector.
 func New() *Detector { return &Detector{} }
 
-// NewSized returns an empty detector presized for a trace of about hint
-// events (purely an allocation hint, matching sched.Options.EventsHint).
-func NewSized(hint int) *Detector {
-	d := &Detector{}
-	d.HintEvents(hint)
-	return d
-}
-
-// HintEvents presizes internal buffers for a run of about n events; the
-// virtual runtime forwards sched.Options.EventsHint here before a run
-// starts. A no-op once events have been processed.
+// HintEvents presizes the thread clocks and sizes the clock arena's first
+// block for a trace of n events (sched.EventsHinted); FeedTrace and
+// Analyze pass the trace's exact length. A no-op once events have been
+// processed.
 func (d *Detector) HintEvents(n int) {
 	if n <= 0 || d.events > 0 {
 		return

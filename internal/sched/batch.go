@@ -7,25 +7,23 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultBatchSize is the number of events in an observer batch when
-// Options.BatchSize is zero, and the size of a staging chunk. 4096 events
-// (128 KiB of trace.Event) amortizes the per-observer interface dispatch
-// ~4000× while the batch plus one analysis's working set stays
+// DefaultBatchSize is the number of events in every observer batch but
+// the last: a run hands its observers each staging chunk as it fills, and
+// FeedTrace walks a recorded trace in windows of the same size. 4096
+// events (128 KiB of trace.Event) amortizes the per-observer interface
+// dispatch ~4000× while the batch plus one analysis's working set stays
 // cache-resident.
 const DefaultBatchSize = 4096
 
 // FeedTrace streams a recorded trace through observers exactly once:
 // each observer first receives the trace's string table (StringsAware) and
-// an exact event-count hint (EventsHinted), then the events as zero-copy
-// slices of the trace (batchSize <= 0 means DefaultBatchSize).
+// its exact event count (EventsHinted), then the events as zero-copy
+// windows of DefaultBatchSize events.
 //
 // This is the offline half of the fused pipeline: one pass over the decoded
 // trace fans out to any number of analyses, so N checkers cost one trace
 // scan instead of N (see harness.FusedRunner).
-func FeedTrace(tr *trace.Trace, batchSize int, observers ...Observer) {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
+func FeedTrace(tr *trace.Trace, observers ...Observer) {
 	for _, o := range observers {
 		if sa, ok := o.(StringsAware); ok {
 			sa.SetStrings(tr.Strings)
@@ -52,11 +50,8 @@ func FeedTrace(tr *trace.Trace, batchSize int, observers ...Observer) {
 		}
 	}
 	events := tr.Events
-	for start := 0; start < len(events); start += batchSize {
-		end := start + batchSize
-		if end > len(events) {
-			end = len(events)
-		}
+	for start := 0; start < len(events); start += DefaultBatchSize {
+		end := min(start+DefaultBatchSize, len(events))
 		for i, o := range observers {
 			if ftrack != nil {
 				s := ftrack.Begin(flight.CatChecker, names[i], 0, flight.A("events", int64(end-start)))

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -49,49 +50,55 @@ func sameEvents(t *testing.T, got, want []trace.Event, label string) {
 	}
 }
 
+// checkBatches requires that batches, the sizes of the batches an observer
+// was handed, are whole DefaultBatchSize batches but for a shorter, non-empty
+// last one, and that they add up to events.
+func checkBatches(t *testing.T, batches []int, events int, label string) {
+	t.Helper()
+	sum := 0
+	for i, n := range batches {
+		if i < len(batches)-1 && n != DefaultBatchSize || n == 0 || n > DefaultBatchSize {
+			t.Fatalf("%s: batch %d of %d has %d events", label, i, len(batches), n)
+		}
+		sum += n
+	}
+	if sum != events {
+		t.Fatalf("%s: batches %v hold %d events, want %d", label, batches, sum, events)
+	}
+}
+
 // TestBatchDeliveryMatchesPerEvent is the core contract: an observer sees
 // exactly the recorded trace, in order, split across full batches plus a
-// shorter final one — and batches of one (per-event delivery) see the
-// identical sequence as the default size.
+// shorter final one, and an analysis fed those batches ends where one fed
+// the trace event by event does.
 func TestBatchDeliveryMatchesPerEvent(t *testing.T) {
-	run := func(size int) (*Result, *batchRecorder) {
-		br := &batchRecorder{}
-		res, err := Run(counterProgram(4, 25, true), Options{
-			Strategy:    &RoundRobin{Quantum: 3},
-			RecordTrace: true,
-			BatchSize:   size,
-			Observers:   []Observer{br},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, br
+	br, batched := &batchRecorder{}, &CountObserver{}
+	res, err := Run(counterProgram(4, 300, true), Options{
+		Strategy:    &RoundRobin{Quantum: 3},
+		RecordTrace: true,
+		Observers:   []Observer{br, batched},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, br := run(8)
+	if res.Events <= DefaultBatchSize {
+		t.Fatalf("%d events, want more than one batch", res.Events)
+	}
 	sameEvents(t, br.events, res.Trace.Events, "batched")
-	one, perEvent := run(1)
-	sameEvents(t, perEvent.events, one.Trace.Events, "batches of one")
-	sameEvents(t, perEvent.events, br.events, "batches of one vs of eight")
-	if len(perEvent.batchSizes) != one.Events {
-		t.Fatalf("batch size 1 delivered %d batches for %d events", len(perEvent.batchSizes), one.Events)
+	checkBatches(t, br.batchSizes, res.Events, "batched")
+	var perEvent CountObserver
+	for _, e := range res.Trace.Events {
+		perEvent.Event(e)
 	}
-	if len(br.batchSizes) < 2 {
-		t.Fatalf("expected multiple batches at size 8 over %d events, got %v", res.Events, br.batchSizes)
-	}
-	for i, n := range br.batchSizes {
-		if i < len(br.batchSizes)-1 && n != 8 {
-			t.Fatalf("non-final batch %d has size %d, want 8", i, n)
-		}
-		if n == 0 || n > 8 {
-			t.Fatalf("batch %d has size %d, want 1..8", i, n)
-		}
+	if *batched != perEvent {
+		t.Fatalf("batched counts %+v, per-event counts %+v", *batched, perEvent)
 	}
 	if br.strings == nil {
 		t.Fatal("batch observer never received the string table")
 	}
 }
 
-// TestBatchFinalFlushPartial: with a batch size larger than the run, the
+// TestBatchFinalFlushPartial: in a run shorter than one chunk, the
 // only delivery is the final flush of a partial buffer.
 func TestBatchFinalFlushPartial(t *testing.T) {
 	p := counterProgram(2, 3, true)
@@ -111,39 +118,38 @@ func TestBatchFinalFlushPartial(t *testing.T) {
 }
 
 // TestBatchAbortDeliversPrefix: when the run aborts (event budget),
-// observers still receive exactly the events emitted before the abort —
-// the same prefix the trace holds.
+// observers still receive exactly the events recorded before the abort —
+// the same prefix the trace holds — whether the abort falls inside a chunk
+// or right after one filled, which must then not be delivered again.
 func TestBatchAbortDeliversPrefix(t *testing.T) {
-	p := counterProgram(4, 1000, false)
-	br := &batchRecorder{}
-	res, err := Run(p, Options{
-		Strategy:    &RoundRobin{Quantum: 1},
-		RecordTrace: true,
-		MaxEvents:   100,
-		BatchSize:   16,
-		Observers:   []Observer{br},
-	})
-	if err == nil {
-		t.Fatal("expected event-budget error")
-	}
-	if !strings.Contains(err.Error(), "event budget") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	sameEvents(t, br.events, res.Trace.Events, "batched prefix")
-	if len(br.events) != 100 {
-		t.Fatalf("observer saw %d events before the abort, want 100", len(br.events))
+	for _, budget := range []int{100, DefaultBatchSize + 100, 2 * DefaultBatchSize} {
+		br := &batchRecorder{}
+		res, err := Run(counterProgram(4, 2000, false), Options{
+			Strategy:    &RoundRobin{Quantum: 1},
+			RecordTrace: true,
+			MaxEvents:   budget,
+			Observers:   []Observer{br},
+		})
+		if err == nil || !strings.Contains(err.Error(), "event budget") {
+			t.Fatalf("budget %d: err = %v, want an event-budget error", budget, err)
+		}
+		label := fmt.Sprintf("budget %d", budget)
+		sameEvents(t, br.events, res.Trace.Events, label)
+		if len(br.events) != budget {
+			t.Fatalf("%s: observer saw %d events before the abort, want %d", label, len(br.events), budget)
+		}
+		checkBatches(t, br.batchSizes, budget, label)
 	}
 }
 
-// TestBatchObserverPanicMidRun: a panic inside a full-buffer flush runs on
-// the emitting thread's goroutine and is isolated like any observer panic —
-// the run aborts with an error, no hang, no goroutine leak.
+// TestBatchObserverPanicMidRun: a panic inside the flush of a full chunk
+// runs on the emitting thread's goroutine and is isolated like any
+// observer panic — the run aborts with an error, no hang, no goroutine
+// leak — and the final flush does not deliver that chunk again.
 func TestBatchObserverPanicMidRun(t *testing.T) {
-	p := counterProgram(4, 50, true)
-	br := &batchRecorder{panicAt: 32}
-	_, err := Run(p, Options{
+	br := &batchRecorder{panicAt: DefaultBatchSize}
+	_, err := Run(counterProgram(4, 500, true), Options{
 		Strategy:  &RoundRobin{Quantum: 2},
-		BatchSize: 16,
 		Observers: []Observer{br},
 	})
 	if err == nil {
@@ -152,9 +158,15 @@ func TestBatchObserverPanicMidRun(t *testing.T) {
 	if !strings.Contains(err.Error(), "injected failure") {
 		t.Fatalf("error does not carry the panic value: %v", err)
 	}
+	if strings.Contains(err.Error(), "final flush") {
+		t.Fatalf("panic fired in the final flush, want a mid-run flush: %v", err)
+	}
+	if len(br.batchSizes) != 1 || br.batchSizes[0] != DefaultBatchSize {
+		t.Fatalf("batches %v, want one full chunk", br.batchSizes)
+	}
 }
 
-// TestBatchObserverPanicFinalFlush: with a batch size larger than the run,
+// TestBatchObserverPanicFinalFlush: in a run shorter than one chunk,
 // the panic fires in the end-of-run flush on the scheduler goroutine and
 // must come back as the same structured error a thread panic produces
 // (stack included), not crash the process.
@@ -180,28 +192,20 @@ func TestBatchObserverPanicFinalFlush(t *testing.T) {
 	}
 }
 
-// TestBatchHintBeforeFirstBatch: the presize hint must reach observers
-// before any events do.
+// TestBatchHintBeforeFirstBatch: FeedTrace hands an EventsHinted observer
+// the trace's exact length once, before any events.
 func TestBatchHintBeforeFirstBatch(t *testing.T) {
-	p := counterProgram(4, 100, true)
-	br := &batchRecorder{}
-	res, err := Run(p, Options{
-		Strategy:   &RoundRobin{Quantum: 5},
-		EventsHint: 4096,
-		BatchSize:  64,
-		Observers:  []Observer{br},
-	})
+	res, err := Run(longCounter(), Options{Strategy: &RoundRobin{Quantum: 5}, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(br.hints) == 0 {
-		t.Fatal("observer never received EventsHint")
-	}
+	br := &batchRecorder{}
+	FeedTrace(res.Trace, br)
 	if br.hintLate {
 		t.Fatal("HintEvents arrived after the first batch")
 	}
-	if br.hints[0] != 4096 {
-		t.Fatalf("hint = %d, want 4096", br.hints[0])
+	if len(br.hints) != 1 || br.hints[0] != res.Trace.Len() {
+		t.Fatalf("hints = %v, want one hint of %d", br.hints, res.Trace.Len())
 	}
 	if len(br.events) != res.Events {
 		t.Fatalf("observed %d events, want %d", len(br.events), res.Events)
@@ -209,28 +213,20 @@ func TestBatchHintBeforeFirstBatch(t *testing.T) {
 }
 
 // TestFeedTrace: the offline fan-out delivers a recorded trace once to
-// every observer as zero-copy slices, with strings and an exact hint up
-// front.
+// every observer as zero-copy windows of DefaultBatchSize events, with the
+// string table up front.
 func TestFeedTrace(t *testing.T) {
-	p := counterProgram(3, 20, true)
-	res, err := Run(p, Options{Strategy: &RoundRobin{Quantum: 2}, RecordTrace: true})
+	res, err := Run(longCounter(), Options{Strategy: &RoundRobin{Quantum: 2}, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := res.Trace
 	br, other := &batchRecorder{}, &batchRecorder{}
-	FeedTrace(tr, 7, br, other)
+	FeedTrace(tr, br, other)
 	sameEvents(t, br.events, tr.Events, "FeedTrace")
 	sameEvents(t, other.events, tr.Events, "FeedTrace second observer")
-	if br.hintLate || len(br.hints) == 0 || br.hints[0] != tr.Len() {
-		t.Fatalf("hints = %v (late=%v), want exact pre-batch hint %d", br.hints, br.hintLate, tr.Len())
-	}
+	checkBatches(t, br.batchSizes, tr.Len(), "FeedTrace")
 	if br.strings != tr.Strings {
 		t.Fatal("FeedTrace did not hand the trace's string table to the observer")
-	}
-	for i, n := range br.batchSizes {
-		if i < len(br.batchSizes)-1 && n != 7 {
-			t.Fatalf("non-final batch %d has size %d, want 7", i, n)
-		}
 	}
 }

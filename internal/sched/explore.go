@@ -157,15 +157,12 @@ func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc
 }
 
 // replayer is the state a search keeps across its replays: the runtime,
-// whose buffers each run recycles (see Runtime), the search's Guided
-// strategy, whose choice-point log and arena each run refills, and the
-// previous run's event count, which presizes the next run's observers
-// through Options.EventsHint. Nothing it keeps reaches a Result, so Visit
-// may retain every Result it is given.
+// whose buffers each run recycles (see Runtime), and the search's Guided
+// strategy, whose choice-point log and arena each run refills. Nothing it
+// keeps reaches a Result, so Visit may retain every Result it is given.
 type replayer struct {
 	rt     *Runtime
 	guided Guided
-	events int
 }
 
 func newReplayer() *replayer {
@@ -188,14 +185,11 @@ func (r *replayer) replayPrefix(p *Program, opts *ExploreOptions, ctx context.Co
 		}
 	}()
 	r.guided.Prefix = prefix
-	ro := Options{Strategy: &r.guided, RecordTrace: opts.RecordTrace, Ctx: ctx, EventsHint: r.events}
+	ro := Options{Strategy: &r.guided, RecordTrace: opts.RecordTrace, Ctx: ctx}
 	if opts.Observers != nil {
 		ro.Observers = opts.Observers()
 	}
 	res, err = r.rt.run(p, ro)
-	if res != nil {
-		r.events = res.Events
-	}
 	var tp *runPanic
 	if errors.As(err, &tp) {
 		err = &ExploreError{Prefix: prefix, Panic: tp.val, Stack: tp.stack}

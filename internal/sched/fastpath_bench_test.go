@@ -14,17 +14,17 @@ import (
 // declines, so every park is elided.
 func runTraceGen(b *testing.B) {
 	b.Helper()
-	opts := func(hint int) Options {
-		return Options{Strategy: Cooperative{}, RecordTrace: true, EventsHint: hint}
+	opts := func() Options {
+		return Options{Strategy: Cooperative{}, RecordTrace: true}
 	}
-	first, err := Run(counterProgram(4, 400, false), opts(0))
+	first, err := Run(counterProgram(4, 400, false), opts())
 	if err != nil {
 		b.Fatal(err)
 	}
 	events := first.Events
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(counterProgram(4, 400, false), opts(events)); err != nil {
+		if _, err := Run(counterProgram(4, 400, false), opts()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -76,10 +76,9 @@ func BenchmarkHandoff(b *testing.B) {
 		b.Fatal(err)
 	}
 	switches := first.Stats.Switches
-	events := first.Events
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opts := Options{Strategy: &RoundRobin{Quantum: 1}, EventsHint: events}
+		opts := Options{Strategy: &RoundRobin{Quantum: 1}}
 		if _, err := Run(pingPongProgram(400), opts); err != nil {
 			b.Fatal(err)
 		}

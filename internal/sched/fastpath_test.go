@@ -2,6 +2,8 @@ package sched
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -187,8 +189,8 @@ func TestFastPathStats(t *testing.T) {
 
 // TestHandoffBudgetSemantics pins the event-budget abort on the handoff
 // paths: the run stops at the budget with the documented error, the
-// aborting event is counted but never recorded, and every virtual thread
-// unwinds.
+// aborting event is neither counted nor recorded, and every virtual thread
+// unwinds. A run cut off by its context counts only what it recorded too.
 func TestHandoffBudgetSemantics(t *testing.T) {
 	res, err := Run(counterProgram(3, 1000, true), Options{
 		Strategy:    NewRandom(5),
@@ -199,8 +201,23 @@ func TestHandoffBudgetSemantics(t *testing.T) {
 	if err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
 	}
-	if res.Events != 501 || len(res.Schedule) != 500 || res.Trace.Len() != 500 {
-		t.Fatalf("events %d, schedule %d, trace %d; want 501/500/500",
+	if res.Events != 500 || len(res.Schedule) != 500 || res.Trace.Len() != 500 {
+		t.Fatalf("events %d, schedule %d, trace %d; want 500/500/500",
+			res.Events, len(res.Schedule), res.Trace.Len())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err = Run(counterProgram(3, 1000, true), Options{
+		Strategy:    NewRandom(5),
+		RecordTrace: true,
+		Ctx:         ctx,
+	})
+	if !errors.Is(err, ErrCancelled) {
+		t.Fatalf("err = %v, want ErrCancelled", err)
+	}
+	if res.Events != 1023 || len(res.Schedule) != 1023 || res.Trace.Len() != 1023 {
+		t.Fatalf("cancelled run: events %d, schedule %d, trace %d; want 1023/1023/1023",
 			res.Events, len(res.Schedule), res.Trace.Len())
 	}
 }

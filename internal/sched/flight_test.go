@@ -133,7 +133,7 @@ func TestPhaseAttributionDisabled(t *testing.T) {
 }
 
 func TestFeedTraceCheckerSpans(t *testing.T) {
-	res, err := Run(counterProgram(2, 20, true), Options{Strategy: Cooperative{}, RecordTrace: true})
+	res, err := Run(longCounter(), Options{Strategy: Cooperative{}, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +141,9 @@ func TestFeedTraceCheckerSpans(t *testing.T) {
 	defer flight.Disable()
 	named := &namedObserver{}
 	anon := &anonObserver{}
-	FeedTrace(res.Trace, 16, named, anon)
+	FeedTrace(res.Trace, named, anon)
 	rec := r.Snapshot()
-	batches := (res.Trace.Len() + 15) / 16
+	batches := (res.Trace.Len() + DefaultBatchSize - 1) / DefaultBatchSize
 	if got := countSpans(rec, "test-checker"); got != batches {
 		t.Fatalf("named checker spans = %d, want %d", got, batches)
 	}

@@ -4,13 +4,13 @@ import "repro/internal/trace"
 
 // Observer consumes instrumented events in batches instead of one virtual
 // call per event. The runtime (and FeedTrace) delivers every event exactly
-// once, in trace order, as a sequence of contiguous batches; the final
-// batch of a run may be shorter, and on an aborted run it ends at the last
-// event emitted before the abort.
+// once, in trace order, as a sequence of contiguous batches of
+// DefaultBatchSize events; the final batch may be shorter, and on an
+// aborted run it ends at the last event recorded before the abort.
 //
-// The batch slice is owned by the caller: in a run, a window of the run's
-// staging log, whose chunks the runtime refills; in FeedTrace, a window of
-// the recorded trace. It is valid only during the call, so observers must
+// The batch slice is owned by the caller: in a run, a chunk of the run's
+// staging log, which the runtime refills; in FeedTrace, a window of the
+// recorded trace. It is valid only during the call, so observers must
 // consume it synchronously, must not retain it past the call, and must not
 // modify it.
 type Observer interface {

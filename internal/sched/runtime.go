@@ -21,20 +21,14 @@ type Options struct {
 	// not share one Strategy across concurrent runs.
 	Strategy Strategy
 	// Observers receive every event, in trace order, as contiguous batches:
-	// windows of the run's staging log, valid only during the call (see
-	// Observer).
+	// each full chunk of the run's staging log (DefaultBatchSize events),
+	// then the last, partial one when the run ends, valid only during the
+	// call (see Observer).
 	Observers []Observer
 	// RecordTrace retains the full event sequence in Result.Trace.
 	RecordTrace bool
 	// MaxEvents aborts runaway executions; 0 means the default (5M).
 	MaxEvents int
-	// EventsHint is forwarded to observers that presize their state for an
-	// expected event count (EventsHinted), for runs whose approximate event
-	// count is known up front (e.g. re-running one workload under many
-	// schedules). Purely an allocation hint; 0 sends none. The runtime
-	// sizes its own buffers: it stages events in reused chunks and gives
-	// the Result a trace and schedule of exactly the run's length.
-	EventsHint int
 	// DisableLocations skips source-location capture (faster; used by the
 	// overhead experiments' baseline configurations).
 	DisableLocations bool
@@ -43,14 +37,6 @@ type Options struct {
 	// unwinding every virtual thread so no goroutine leaks. nil (the
 	// default) keeps the per-event hot path free of context checks.
 	Ctx context.Context
-	// BatchSize is the number of events in each observer batch but the
-	// last; 0 means DefaultBatchSize (4096). A batch is a window of the
-	// run's staging log, whose chunks hold a whole number of batches, valid
-	// only during the ObserveBatch call. Batching changes *when* an
-	// observer sees events (at flush points: a batch full, or run end —
-	// including aborted runs), never which events or their order, so
-	// analyses observe the identical sequence at any size.
-	BatchSize int
 }
 
 // StringsAware is implemented by observers that want to resolve LocIDs;
@@ -59,10 +45,10 @@ type StringsAware interface {
 	SetStrings(s *trace.Strings)
 }
 
-// EventsHinted is implemented by observers that can presize their internal
-// state for an expected event count; the runtime forwards
-// Options.EventsHint before execution starts, so analysis state grows once
-// instead of rehashing/reallocating throughout the run.
+// EventsHinted is implemented by observers that presize their state for a
+// trace's event count (race.Detector, velodrome.Checker, core.Checker):
+// FeedTrace hands them the trace's exact length before the first batch.
+// A run hints no observer, since its length is not known until it ends.
 type EventsHinted interface {
 	HintEvents(n int)
 }
@@ -309,6 +295,7 @@ type Runtime struct {
 	killed  bool
 	err     error
 
+	// events is the number of events the run has recorded so far.
 	events    int
 	maxEvents int
 
@@ -419,14 +406,7 @@ func (rt *Runtime) reset(p *Program, opts Options) {
 		ch := &rt.chs[i]
 		*ch = chanState{cap: p.chans[i].cap, buf: ch.buf[:0], pending: ch.pending[:0]}
 	}
-	batch := 0
-	if len(opts.Observers) > 0 {
-		batch = opts.BatchSize
-		if batch <= 0 {
-			batch = DefaultBatchSize
-		}
-	}
-	rt.log.reset(batch)
+	rt.log.reset()
 	if rt.maxEvents <= 0 {
 		rt.maxEvents = 5_000_000
 	}
@@ -479,14 +459,10 @@ func (rt *Runtime) run(p *Program, opts Options) (*Result, error) {
 		rt.tr.Meta.Strategy = opts.Strategy.Name()
 		rt.tr.Meta.Seed = opts.Strategy.Seed()
 	}
-	// Observers get the string table and the presize hint before the first
-	// batch, so they grow their state once.
+	// Observers get the string table before the first batch.
 	for _, o := range opts.Observers {
 		if sa, ok := o.(StringsAware); ok {
 			sa.SetStrings(rt.strings)
-		}
-		if eh, ok := o.(EventsHinted); ok && opts.EventsHint > 0 {
-			eh.HintEvents(opts.EventsHint)
 		}
 	}
 	rt.strat.Reset()
@@ -516,7 +492,7 @@ func (rt *Runtime) run(p *Program, opts Options) (*Result, error) {
 
 	// The run's schedule and trace are allocated once, at their final
 	// length, and filled from the staging log.
-	schedule := make([]trace.TID, rt.log.len())
+	schedule := make([]trace.TID, rt.events)
 	var events []trace.Event
 	if rt.tr != nil {
 		events = make([]trace.Event, len(schedule))
@@ -950,17 +926,16 @@ func (rt *Runtime) emit(t *thread, op trace.Op, target uint64, loc trace.LocID) 
 	if loc == locNone {
 		loc = 0
 	}
-	rt.events++
-	if op == trace.OpYield {
-		rt.yields++
-	}
-	if rt.events > rt.maxEvents {
+	// The budget and the context are checked before the event is counted,
+	// so the event that aborts a run is neither counted nor recorded and
+	// Result.Events is the length of its schedule.
+	if rt.events >= rt.maxEvents {
 		if rt.err == nil {
 			rt.err = fmt.Errorf("sched: event budget exceeded (%d events); livelock?", rt.maxEvents)
 		}
 		panic(errKilled)
 	}
-	if rt.opts.Ctx != nil && rt.events&1023 == 0 {
+	if rt.opts.Ctx != nil && rt.events&1023 == 1023 {
 		if cerr := rt.opts.Ctx.Err(); cerr != nil {
 			if rt.err == nil {
 				rt.err = fmt.Errorf("%w after %d events: %v", ErrCancelled, rt.events, cerr)
@@ -971,13 +946,17 @@ func (rt *Runtime) emit(t *thread, op trace.Op, target uint64, loc trace.LocID) 
 	if len(rt.log.cur) == cap(rt.log.cur) {
 		rt.log.next()
 	}
-	e := trace.Event{Idx: rt.log.done + len(rt.log.cur), Tid: t.id, Op: op, Target: target, Loc: loc}
+	e := trace.Event{Idx: rt.events, Tid: t.id, Op: op, Target: target, Loc: loc}
+	rt.events++
+	if op == trace.OpYield {
+		rt.yields++
+	}
 	rt.log.cur = append(rt.log.cur, e)
-	if rt.log.batch > 0 && len(rt.log.cur)-rt.log.flushed == rt.log.batch {
-		// A full batch: fan it out to every observer. This runs on the
-		// emitting virtual thread's goroutine, so an observer panic here
-		// is caught by threadBody's recover and isolated like any other
-		// panic inside a virtual thread.
+	if len(rt.log.cur) == chunkEvents && len(rt.observers) > 0 {
+		// A full chunk is a batch: fan it out to every observer. This runs
+		// on the emitting virtual thread's goroutine, so an observer panic
+		// here is caught by threadBody's recover and isolated like any
+		// other panic inside a virtual thread.
 		rt.flushBatch()
 	}
 	// The strategy is always consulted (replay counts events in Preempt),
@@ -989,39 +968,33 @@ func (rt *Runtime) emit(t *thread, op trace.Op, target uint64, loc trace.LocID) 
 	}
 }
 
-// flushBatch hands the events staged since the last flush to every
-// observer, as a window of the current chunk. Observers must not retain
-// the slice.
+// flushBatch hands the current chunk to every observer. Observers must not
+// retain the slice. Exactly one goroutine runs at a time, so nothing
+// appends while we iterate.
 func (rt *Runtime) flushBatch() {
-	pending := rt.log.cur[rt.log.flushed:]
-	if len(pending) == 0 {
-		return
-	}
-	// Mark before delivering: if an observer panics mid-fanout, the batch
-	// is not re-delivered to observers that already consumed it (the run is
-	// aborted and its analysis results discarded anyway). Exactly one
-	// goroutine runs at a time, so nothing appends while we iterate.
-	rt.log.flushed = len(rt.log.cur)
+	batch := rt.log.cur
 	if rt.phaseOn {
 		t0 := time.Now()
 		for _, o := range rt.observers {
-			o.ObserveBatch(pending)
+			o.ObserveBatch(batch)
 		}
 		rt.phaseAnalysisNs += time.Since(t0).Nanoseconds()
 		return
 	}
 	for _, o := range rt.observers {
-		o.ObserveBatch(pending)
+		o.ObserveBatch(batch)
 	}
 }
 
-// flushBatchFinal delivers the last partial batch at the end of a run.
-// There is no thread recover on the scheduler goroutine, so an observer
-// panic is converted here into the same structured error a panic inside a
-// virtual thread produces, stack included, and the explorers report it as
-// an *ExploreError finding either way.
+// flushBatchFinal delivers the last, partial chunk at the end of a run; a
+// full one was delivered when it filled, and is not delivered again even
+// if an observer panicked on it. There is no thread recover on the
+// scheduler goroutine, so an observer panic is converted here into the
+// same structured error a panic inside a virtual thread produces, stack
+// included, and the explorers report it as an *ExploreError finding
+// either way.
 func (rt *Runtime) flushBatchFinal() (err error) {
-	if rt.log.batch == 0 || len(rt.log.cur) == rt.log.flushed {
+	if len(rt.observers) == 0 || len(rt.log.cur) == 0 || len(rt.log.cur) == chunkEvents {
 		return nil
 	}
 	defer func() {

@@ -463,7 +463,7 @@ func TestObserversSeeEveryEvent(t *testing.T) {
 	}
 }
 
-// hintObserver records the event hint forwarded by the runtime.
+// hintObserver records the event hint it was given.
 type hintObserver struct {
 	hint int
 }
@@ -471,28 +471,27 @@ type hintObserver struct {
 func (h *hintObserver) ObserveBatch([]trace.Event) {}
 func (h *hintObserver) HintEvents(n int)           { h.hint = n }
 
+// TestEventsHintForwardedToObservers: a run hints no observer, neither a
+// fresh Run nor an exploration's replays, which know the previous replay's
+// length; only FeedTrace, which knows the trace's, does
+// (TestBatchHintBeforeFirstBatch).
 func TestEventsHintForwardedToObservers(t *testing.T) {
-	var ho hintObserver
-	if _, err := Run(counterProgram(2, 3, true), Options{
-		Observers:  []Observer{&ho},
-		Strategy:   NewRandom(11),
-		EventsHint: 4096,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if ho.hint != 4096 {
-		t.Fatalf("observer hint = %d, want 4096", ho.hint)
-	}
-	// Without a hint the runtime must not call HintEvents at all.
-	ho.hint = -1
+	ho := hintObserver{hint: -1}
 	if _, err := Run(counterProgram(2, 3, true), Options{
 		Observers: []Observer{&ho},
 		Strategy:  NewRandom(11),
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := Explore(counterProgram(2, 1, false), ExploreOptions{
+		MaxRuns:   8,
+		Observers: func() []Observer { return []Observer{&ho} },
+		Visit:     func(*Result, error) bool { return true },
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if ho.hint != -1 {
-		t.Fatalf("observer hinted %d without Options.EventsHint", ho.hint)
+		t.Fatalf("a run hinted its observer %d events", ho.hint)
 	}
 }
 

@@ -15,44 +15,29 @@ import (
 func longCounter() *Program { return counterProgram(4, 1250, true) }
 
 // TestLongRunBatches runs a program that fills several staging chunks with
-// an event-copying observer at several batch sizes: the observer must see
-// exactly the trace, every batch but the last must hold exactly BatchSize
-// events, and no size may change the trace.
+// an event-copying observer: the observer must see exactly the trace, each
+// full chunk as one batch and then the partial last one, and attaching it
+// must not change the trace or the schedule.
 func TestLongRunBatches(t *testing.T) {
-	var ref *Result
-	for _, size := range []int{1, 3, 8, 0} {
-		br := &batchRecorder{}
-		res, err := Run(longCounter(), Options{
-			Strategy:    &RoundRobin{Quantum: 3},
-			RecordTrace: true,
-			BatchSize:   size,
-			Observers:   []Observer{br},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Events < 4*chunkEvents {
-			t.Fatalf("%d events, want several chunks' worth", res.Events)
-		}
-		label := fmt.Sprintf("batch size %d", size)
-		sameEvents(t, br.events, res.Trace.Events, label)
-		want := size
-		if size == 0 {
-			want = DefaultBatchSize
-		}
-		for i, n := range br.batchSizes {
-			if i < len(br.batchSizes)-1 && n != want || n == 0 || n > want {
-				t.Fatalf("%s: batch %d of %d has %d events", label, i, len(br.batchSizes), n)
-			}
-		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		sameEvents(t, res.Trace.Events, ref.Trace.Events, label+" against batch size 1")
-		if !slices.Equal(res.Schedule, ref.Schedule) {
-			t.Fatalf("%s: schedule differs from batch size 1", label)
-		}
+	opts := Options{Strategy: &RoundRobin{Quantum: 3}, RecordTrace: true}
+	ref, err := Run(longCounter(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := &batchRecorder{}
+	opts.Strategy, opts.Observers = &RoundRobin{Quantum: 3}, []Observer{br}
+	res, err := Run(longCounter(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Events < 4*chunkEvents {
+		t.Fatalf("%d events, want several chunks' worth", res.Events)
+	}
+	sameEvents(t, br.events, res.Trace.Events, "observer")
+	checkBatches(t, br.batchSizes, res.Events, "observer")
+	sameEvents(t, res.Trace.Events, ref.Trace.Events, "run with an observer against one without")
+	if !slices.Equal(res.Schedule, ref.Schedule) {
+		t.Fatal("the observer changed the schedule")
 	}
 }
 
@@ -108,9 +93,9 @@ func TestConcurrentLongRuns(t *testing.T) {
 const maxLongRunAllocRatio = 1.5
 
 // TestLongRunAllocs measures one Run of a program of about 100k events,
-// after a warm-up Run, with no EventsHint: staged in pooled chunks and
-// copied out once at its exact length, the run allocates little more than
-// its Result's trace and schedule hold.
+// after a warm-up Run: staged in pooled chunks and copied out once at its
+// exact length, the run allocates little more than its Result's trace and
+// schedule hold.
 func TestLongRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

@@ -61,7 +61,8 @@ func runVeloBench(b *testing.B, tr *trace.Trace) {
 	events := len(tr.Events)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := New(Options{EventsHint: events})
+		c := New(Options{})
+		c.HintEvents(events)
 		for _, e := range tr.Events {
 			c.Event(e)
 		}

@@ -74,9 +74,6 @@ type Options struct {
 	// MethodsAtomic treats every method span as an atomic block, matching
 	// atom.Options.MethodsAtomic for apples-to-apples comparison.
 	MethodsAtomic bool
-	// EventsHint presizes internal state for a trace of about this many
-	// events (an allocation hint, matching sched.Options.EventsHint).
-	EventsHint int
 }
 
 // Checker builds the transactional happens-before graph online and detects
@@ -117,16 +114,12 @@ type Checker struct {
 
 // New returns an empty checker.
 func New(opts Options) *Checker {
-	c := &Checker{opts: opts}
-	if hint := opts.EventsHint; hint > 0 {
-		c.HintEvents(hint)
-	}
-	return c
+	return &Checker{opts: opts}
 }
 
-// HintEvents presizes the node and edge arenas; the virtual runtime
-// forwards sched.Options.EventsHint here before a run starts. A no-op once
-// events have been processed.
+// HintEvents presizes the node and edge arenas for a trace of n events
+// (sched.EventsHinted); FeedTrace and Analyze pass the trace's exact
+// length. A no-op once events have been processed.
 func (c *Checker) HintEvents(n int) {
 	if n <= 0 || c.events > 0 {
 		return
@@ -462,10 +455,8 @@ func (c *Checker) Events() int { return c.events }
 // Analyze runs a fresh checker over a complete trace and returns its
 // violations.
 func Analyze(tr *trace.Trace, opts Options) []Violation {
-	if opts.EventsHint <= 0 {
-		opts.EventsHint = tr.Len()
-	}
 	c := New(opts)
+	c.HintEvents(tr.Len())
 	for _, e := range tr.Events {
 		c.Event(e)
 	}

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/movers"
+	"repro/internal/sched"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // benchTrace builds a synthetic trace exercising the checker's per-event
@@ -103,4 +105,43 @@ func BenchmarkCheckerEventViolations(b *testing.B) {
 func BenchmarkCheckerEventOnline(b *testing.B) {
 	tr := benchTrace(4, 250)
 	runCheckerBench(b, tr, Options{Policy: movers.DefaultPolicy()})
+}
+
+var twoPassSink int
+
+// BenchmarkTwoPassSchedules times the check an exhaustive search makes on
+// every schedule: AnalyzeTwoPass over the traces of certify's search of
+// bank-buggy (threads 2, size 1, bound 2), recorded once outside the
+// timer. events/s counts the checked traces' events.
+func BenchmarkTwoPassSchedules(b *testing.B) {
+	spec, ok := workloads.Get("bank-buggy")
+	if !ok {
+		b.Fatal("workload bank-buggy not registered")
+	}
+	var traces []*trace.Trace
+	events := 0
+	_, err := sched.Explore(spec.New(2, 1), sched.ExploreOptions{
+		MaxRuns:        20000,
+		MaxPreemptions: 2,
+		RecordTrace:    true,
+		Visit: func(res *sched.Result, err error) bool {
+			if err == nil {
+				traces = append(traces, res.Trace)
+				events += res.Trace.Len()
+			}
+			return true
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{Policy: movers.DefaultPolicy()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tr := range traces {
+			twoPassSink += len(AnalyzeTwoPass(tr, opts).Violations())
+		}
+	}
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }

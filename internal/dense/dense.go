@@ -11,8 +11,6 @@
 // are never moved, only the page directory grows).
 package dense
 
-import "sort"
-
 const (
 	pageBits = 8
 	// PageSize is the number of slots materialized per page.
@@ -30,12 +28,19 @@ const (
 type Table[T any] struct {
 	pages    [][]T
 	overflow map[uint64]*T
+	// used is one more than the largest paged key At has returned since
+	// the last Clear, or 0: every paged slot from it on is zero.
+	used uint64
 }
 
 // At returns a stable pointer to key's slot, materializing it zeroed if
-// needed.
+// needed. Every write to a slot must go through a pointer At returned:
+// Clear zeroes only the slots below the largest key At has returned.
 func (t *Table[T]) At(key uint64) *T {
 	if key < MaxDense {
+		if key >= t.used {
+			t.used = key + 1
+		}
 		pi := int(key >> pageBits)
 		if pi >= len(t.pages) {
 			pages := make([][]T, pi+1, 2*(pi+1))
@@ -61,7 +66,8 @@ func (t *Table[T]) At(key uint64) *T {
 }
 
 // Probe returns a stable pointer to key's slot, or nil when the slot was
-// never materialized. It never allocates.
+// never materialized. It never allocates. The slot is for reading; write
+// through At.
 func (t *Table[T]) Probe(key uint64) *T {
 	if key < MaxDense {
 		pi := int(key >> pageBits)
@@ -74,46 +80,23 @@ func (t *Table[T]) Probe(key uint64) *T {
 }
 
 // Clear empties the table for reuse without giving its memory back: it
-// keeps the pages, zeroes their slots, and empties the overflow map, so
-// every key reads as absent again and a later At allocates nothing on a
-// kept page. Its cost is the table's Footprint, however few slots the last
-// use touched; a caller that reuses a table for many small inputs should
-// drop it once it has grown large.
+// keeps the pages, zeroes their slots below the largest key At has
+// returned since the last Clear (the rest are still zero), and empties the
+// overflow map, so every key reads as absent again and a later At
+// allocates nothing on a kept page. Its cost is that key plus the overflow
+// keys, however large the table has grown.
 func (t *Table[T]) Clear() {
-	for _, p := range t.pages {
-		clear(p)
+	for base := uint64(0); base < t.used; base += PageSize {
+		if p := t.pages[base>>pageBits]; p != nil {
+			clear(p[:min(PageSize, t.used-base)])
+		}
 	}
+	t.used = 0
 	clear(t.overflow)
 }
 
 // Footprint returns the number of pages in the page directory and the
-// number of overflow keys: the work Clear does.
+// number of overflow keys: the memory the table keeps.
 func (t *Table[T]) Footprint() (pages, overflow int) {
 	return len(t.pages), len(t.overflow)
-}
-
-// Range calls f for every materialized slot in ascending key order (paged
-// keys first, then overflow keys, which are all larger by construction).
-// Zero-valued slots of materialized pages are included; callers filter by
-// their own presence convention.
-func (t *Table[T]) Range(f func(key uint64, v *T)) {
-	for pi, p := range t.pages {
-		if p == nil {
-			continue
-		}
-		base := uint64(pi) << pageBits
-		for i := range p {
-			f(base+uint64(i), &p[i])
-		}
-	}
-	if len(t.overflow) > 0 {
-		keys := make([]uint64, 0, len(t.overflow))
-		for k := range t.overflow {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for _, k := range keys {
-			f(k, t.overflow[k])
-		}
-	}
 }

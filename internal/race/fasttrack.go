@@ -19,6 +19,7 @@ package race
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/dense"
@@ -122,9 +123,10 @@ type Detector struct {
 	lastRaced bool
 	events    int
 	// onsets records, per racy variable in first-race order, the event
-	// index at which it first raced. An access at index i is racy *to an
-	// online observer* iff its variable's onset is <= i, so a later pass
-	// can replay online racy-knowledge without running a second detector
+	// index at which it first raced, so it lists exactly the racy
+	// variables. An access at index i is racy *to an online observer* iff
+	// its variable's onset is <= i, so a later pass can replay online
+	// racy-knowledge without running a second detector
 	// (movers.NewWithRaceOnsets).
 	onsets []varOnset
 
@@ -440,14 +442,13 @@ func (d *Detector) LastRaced() bool { return d.lastRaced }
 func (d *Detector) Races() []Race { return d.races }
 
 // RacyVars returns the ids of variables involved in at least one race, in
-// ascending order (dense.Table.Range visits keys ascending).
+// ascending order.
 func (d *Detector) RacyVars() []uint64 {
-	out := make([]uint64, 0, d.racyN)
-	d.racy.Range(func(v uint64, on *bool) {
-		if *on {
-			out = append(out, v)
-		}
-	})
+	out := make([]uint64, d.racyN)
+	for i := range out {
+		out[i] = d.onsets[i].v
+	}
+	slices.Sort(out)
 	return out
 }
 
@@ -496,11 +497,13 @@ func RacyVarsOf(tr *trace.Trace) map[uint64]bool {
 }
 
 // reset returns d to the state New leaves it in, keeping its tables,
-// arena, and buffers, and reports whether it did. Clearing costs what the
-// tables hold, not what the last trace touched, so a detector that a large
-// trace grew past a table's first page, a page's worth of overflow keys or
-// race reports, or the first arena block is left as it is, for the caller
-// to drop: later small traces never pay to clear its large tables.
+// arena, and buffers, and reports whether it did. Clearing costs about
+// what the last trace touched: each table zeroes only its slots below the
+// largest key the trace wrote (dense.Table.Clear), and the arena and
+// thread clocks only what the trace used. A detector that a large trace
+// grew past a table's first page, a page's worth of overflow keys or race
+// reports, or the first arena block is still left as it is, for the
+// caller to drop, so the pool never holds large tables.
 func (d *Detector) reset() bool {
 	small := func(pages, overflow int) bool { return pages <= 1 && overflow <= dense.PageSize }
 	if !small(d.vars.Footprint()) || !small(d.sync.Footprint()) || !small(d.racy.Footprint()) ||
@@ -551,10 +554,8 @@ func (d *Detector) RaceOnsets() map[uint64]int {
 // reuse its first-pass detector instead of race-detecting the trace again.
 func (d *Detector) RacyVarSet() map[uint64]bool {
 	out := make(map[uint64]bool, d.racyN)
-	d.racy.Range(func(v uint64, on *bool) {
-		if *on {
-			out[v] = true
-		}
-	})
+	for _, o := range d.onsets {
+		out[o.v] = true
+	}
 	return out
 }

@@ -240,3 +240,111 @@ func TestRacyVarsOfConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// racyVarsOfRaces is the set of Race.Var over d's reports. Every racy
+// variable's first race is reported, since the dedup key includes the
+// variable, so this is the racy set computed without the onsets.
+func racyVarsOfRaces(d *Detector) map[uint64]bool {
+	out := map[uint64]bool{}
+	for _, r := range d.Races() {
+		out[r.Var] = true
+	}
+	return out
+}
+
+// TestPooledRacyVarSetMatchesRaces runs one detector the way RacyVarsOf
+// does, analyze then RacyVarSet then reset, over traces that touch
+// different parts of its tables, and compares each racy set with the
+// variables of a fresh detector's race reports.
+func TestPooledRacyVarSetMatchesRaces(t *testing.T) {
+	var traces []*trace.Trace
+
+	// A short racy trace: 1 races, 2 is lock-protected.
+	b := trace.NewBuilder()
+	b.On(0).Begin().Fork(1).Write(1).Acq(0).Write(2).Rel(0)
+	b.On(1).Begin().Read(1).Acq(0).Write(2).Rel(0).Write(1).End()
+	b.On(0).Join(1).End()
+	traces = append(traces, b.Trace())
+
+	// Variable ids on the second page, and 1 again, raced the other way.
+	b = trace.NewBuilder()
+	b.On(0).Begin().Fork(1).Write(dense.PageSize + 44).Read(1)
+	b.On(1).Begin().Write(1).Read(dense.PageSize + 44).Write(dense.PageSize + 3).End()
+	b.On(0).Write(dense.PageSize + 3).Join(1).End()
+	traces = append(traces, b.Trace())
+
+	// Volatile ids at 1<<32 and up, which land in the overflow maps: a
+	// volatile publishes 5 to one reader, a plain variable with such an
+	// id races.
+	b = trace.NewBuilder()
+	b.On(0).Begin().Fork(1).Fork(2).Write(5).VolWrite(1<<32 + 7).Write(1<<32 + 9)
+	b.On(1).Begin().VolRead(1<<32 + 7).Read(5).End()
+	b.On(2).Begin().Read(1<<32 + 9).Read(5).End()
+	b.On(0).Join(1).Join(2).End()
+	traces = append(traces, b.Trace())
+
+	// Locks and channels order most accesses; 12 still races.
+	tr := trace.New()
+	ch := trace.ChanTarget(4, true)
+	for _, e := range []trace.Event{
+		{Tid: 0, Op: trace.OpBegin}, {Tid: 0, Op: trace.OpFork, Target: 1}, {Tid: 1, Op: trace.OpBegin},
+		{Tid: 0, Op: trace.OpAcquire, Target: 3}, {Tid: 0, Op: trace.OpWrite, Target: 10}, {Tid: 0, Op: trace.OpRelease, Target: 3},
+		{Tid: 1, Op: trace.OpAcquire, Target: 3}, {Tid: 1, Op: trace.OpRead, Target: 10}, {Tid: 1, Op: trace.OpRelease, Target: 3},
+		{Tid: 0, Op: trace.OpWrite, Target: 11}, {Tid: 0, Op: trace.OpSend, Target: ch},
+		{Tid: 1, Op: trace.OpRecv, Target: ch}, {Tid: 1, Op: trace.OpWrite, Target: 11},
+		{Tid: 1, Op: trace.OpWait, Target: 3}, {Tid: 0, Op: trace.OpNotify, Target: 3},
+		{Tid: 0, Op: trace.OpWrite, Target: 12}, {Tid: 1, Op: trace.OpWrite, Target: 12},
+		{Tid: 1, Op: trace.OpClose, Target: ch}, {Tid: 1, Op: trace.OpEnd},
+		{Tid: 0, Op: trace.OpJoin, Target: 1}, {Tid: 0, Op: trace.OpEnd},
+	} {
+		tr.Append(e)
+	}
+	traces = append(traces, tr)
+
+	// A trace that grows the variable table past its first page, so
+	// reset refuses the detector; then the first trace again.
+	b = trace.NewBuilder()
+	b.On(0).Begin().Fork(1)
+	b.On(1).Begin()
+	for v := uint64(0); v < 3*dense.PageSize; v += 5 {
+		b.On(0).Write(v)
+		b.On(1).Write(v)
+	}
+	traces = append(traces, b.Trace(), traces[0])
+
+	large := len(traces) - 2
+	d := New()
+	reused := 0
+	for i, tr := range traces {
+		want := racyVarsOfRaces(Analyze(tr))
+		if len(want) == 0 {
+			t.Fatalf("trace %d races on no variable", i)
+		}
+		d.analyze(tr)
+		if got := d.RacyVarSet(); !maps.Equal(got, want) {
+			t.Errorf("trace %d: RacyVarSet = %v, the races name %v", i, got, want)
+		}
+		wantVars := make([]uint64, 0, len(want))
+		for v := range want {
+			wantVars = append(wantVars, v)
+		}
+		slices.Sort(wantVars)
+		if got := d.RacyVars(); !slices.Equal(got, wantVars) {
+			t.Errorf("trace %d: RacyVars = %v, want %v", i, got, wantVars)
+		}
+		// reset also refuses the second page's detector: any table past
+		// its first page is left for the caller to drop.
+		kept := d.reset()
+		if i == large && kept {
+			t.Fatal("reset kept the large trace's detector")
+		}
+		if kept {
+			reused++
+		} else {
+			d = New()
+		}
+	}
+	if reused == 0 {
+		t.Fatal("reset refused every detector")
+	}
+}

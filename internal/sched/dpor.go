@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 
+	"repro/internal/dense"
 	"repro/internal/obs/flight"
 	"repro/internal/trace"
 )
@@ -36,7 +37,7 @@ func conflictsDPOR(a, b trace.Event) bool {
 // conflict-inequivalent outcomes that Explore reaches: on the digest's
 // generated programs and the workloads at two threads it reached a strict
 // subset of Explore's final states in 280 of 403 configurations at bounds
-// 0-2 (ROADMAP item 4). It typically runs orders of magnitude fewer
+// 0-2 (ROADMAP item 7). It typically runs orders of magnitude fewer
 // schedules than Explore.
 //
 // MaxPreemptions is interpreted as in Explore; fork/join/blocking-induced
@@ -50,6 +51,10 @@ func ExploreDPOR(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 	opts.RecordTrace = true // the conflict analysis below needs the trace
 	seen := map[string]bool{"": true}
 	var scan dporScan
+	defer func() {
+		mExploreDPORFrozen.Add(scan.frozen)
+		mExploreDPORScanned.Add(scan.scanned)
+	}()
 	return exploreDFS(p, &opts, "explore-dpor",
 		func(prefix []trace.TID, res *Result, points []ChoicePoint, push func([]trace.TID), ftrack *flight.Track) {
 			pushed := 0
@@ -92,7 +97,8 @@ type dporScan struct {
 	// largest thread id.
 	events  []trace.Event
 	threads int
-	// decisionOf[e] is the thread-pick point that scheduled event e, or -1.
+	// decisionOf[e] is the thread-pick point that scheduled event e, or -1;
+	// it is set only for the events the scan walks.
 	decisionOf []int32
 	// links[via][e] is the previous event of e's thread on e's chain of
 	// that kind, or -1: viaKey the keyed chain, viaChan the chain of
@@ -105,12 +111,15 @@ type dporScan struct {
 	// forkJoin[t] is the row of the forks and joins that target thread t,
 	// or -1.
 	heads    []int32
-	rows     [numFamilies]map[uint64]int32
+	rows     [numFamilies]dense.Table[int32]
 	forkJoin []int32
 	// cands collects one event's flip candidates, and pre the run's running
 	// preemption counts (preemptionPrefix).
 	cands []int32
 	pre   []int
+	// frozen and scanned count the events of the search's runs before and
+	// from their frontiers (see expand), for explore.dpor.*.
+	frozen, scanned int64
 }
 
 // chainKind classifies an event by the chains it sits on and walks.
@@ -182,12 +191,13 @@ const (
 	numVias
 )
 
-// reset prepares the scan for a run's events.
-func (s *dporScan) reset(events []trace.Event) {
+// reset prepares the scan for a run's events, of which it links and walks
+// only events[from:] (see expand).
+func (s *dporScan) reset(events []trace.Event, from int) {
 	n := len(events)
 	s.events = events
 	s.threads = 1
-	for _, e := range events {
+	for _, e := range events[from:] {
 		s.threads = max(s.threads, int(e.Tid)+1)
 	}
 	if cap(s.decisionOf) < n {
@@ -200,14 +210,11 @@ func (s *dporScan) reset(events []trace.Event) {
 	for v := range s.links {
 		s.links[v] = s.links[v][:n]
 	}
-	for i := range s.decisionOf {
+	for i := from; i < n; i++ {
 		s.decisionOf[i] = -1
 	}
 	for f := range s.rows {
-		if s.rows[f] == nil {
-			s.rows[f] = make(map[uint64]int32)
-		}
-		clear(s.rows[f])
+		s.rows[f].Clear()
 	}
 	s.heads = s.heads[:0]
 	s.newRows(fixedRows)
@@ -263,12 +270,11 @@ func (s *dporScan) rowsOf(kind chainKind, e trace.Event) int32 {
 	default:
 		return -1
 	}
-	r, ok := s.rows[f][id]
-	if !ok {
-		r = s.newRows(n)
-		s.rows[f][id] = r
+	r := s.rows[f].At(id)
+	if *r == 0 { // a keyed row is never row 0, which is rowAll
+		*r = s.newRows(n)
 	}
-	return r
+	return *r
 }
 
 // link appends event j to its thread's chains, after j's own walk; rows is
@@ -309,18 +315,18 @@ func (p *walkPlan) add(row int32, via uint8) {
 	p.n++
 }
 
-// plan returns the chains that can hold an earlier event of another
+// plan sets p to the chains that can hold an earlier event of another
 // thread conflicting with event e (rows is rowsOf(kind, e)): the same-key
 // chains (for a read, only the writes), the selects for a channel op,
 // every channel op and select for a select, and, for every kind, the forks
 // and joins that target e's thread and the invalid ops. For an invalid op
-// it is every event.
-func (s *dporScan) plan(e trace.Event, kind chainKind, rows int32) walkPlan {
-	var p walkPlan
+// it is every event. Like walk, it fills p in place.
+func (s *dporScan) plan(p *walkPlan, e trace.Event, kind chainKind, rows int32) {
+	p.n = 0
 	switch kind {
 	case chainInvalid:
 		p.add(rowAll, viaAll)
-		return p
+		return
 	case chainRead, chainVolRead:
 		p.add(rows+1, viaKey)
 	case chainWrite, chainVolWrite:
@@ -338,7 +344,6 @@ func (s *dporScan) plan(e trace.Event, kind chainKind, rows int32) walkPlan {
 		p.add(r, viaKey)
 	}
 	p.add(rowInvalid, viaKey)
-	return p
 }
 
 // chainWalk is a backward walk over one thread's chains of a plan,
@@ -351,18 +356,19 @@ type chainWalk struct {
 	n   int
 }
 
-// walk starts thread t's walk for event e, of e's plan p, except that a
-// fork or join conflicts with every event of the thread it targets, whose
-// whole chain it walks instead.
-func (s *dporScan) walk(p *walkPlan, e trace.Event, kind chainKind, t int) chainWalk {
+// walk starts w as thread t's walk for event e, of e's plan p, except that
+// a fork or join conflicts with every event of the thread it targets, whose
+// whole chain it walks instead. It fills w in place: returning the walk by
+// value cost more than the walks themselves.
+func (s *dporScan) walk(w *chainWalk, p *walkPlan, e trace.Event, kind chainKind, t int) {
 	if kind == chainForkJoin && t == s.targetTID(e) {
-		return chainWalk{at: [4]int32{s.heads[rowAll*s.threads+t]}, via: [4]uint8{viaAll}, n: 1}
+		w.at[0], w.via[0], w.n = s.heads[rowAll*s.threads+t], viaAll, 1
+		return
 	}
-	w := chainWalk{via: p.via, n: p.n}
+	w.via, w.n = p.via, p.n
 	for c := 0; c < p.n; c++ {
 		w.at[c] = s.heads[int(p.row[c])*s.threads+t]
 	}
-	return w
 }
 
 // peek returns the walk's largest remaining index and the chain it is on,
@@ -387,12 +393,15 @@ func (w *chainWalk) advance(s *dporScan, k int) {
 // conflict with j.
 func (s *dporScan) candidates(ej trace.Event, kind chainKind, rows int32) []int32 {
 	cands := s.cands[:0]
-	p := s.plan(ej, kind, rows)
+	var p walkPlan
+	s.plan(&p, ej, kind, rows)
+	var w chainWalk
 	for t := 0; t < s.threads; t++ {
-		if t == int(ej.Tid) {
+		// A thread with no event linked yet has none on any chain.
+		if t == int(ej.Tid) || s.heads[rowAll*s.threads+t] < 0 {
 			continue
 		}
-		w := s.walk(&p, ej, kind, t)
+		s.walk(&w, &p, ej, kind, t)
 		for found := 0; found < 2; {
 			i, k := w.peek()
 			if i < 0 {
@@ -454,14 +463,33 @@ func (s *dporScan) expand(res *Result, prefix []trace.TID, points []ChoicePoint,
 		return
 	}
 	events := res.Trace.Events
-	s.reset(events)
+
+	// The frozen frontier is the first event whose decision the prefix
+	// left free: the one the first unfrozen thread pick scheduled. EventIdx
+	// never decreases along points, so every earlier event's decision is
+	// frozen or absent. A flip for a conflicting pair happens at the
+	// earlier event's decision, which flip drops when frozen, so no pair
+	// with an event before the frontier yields one; and from the frontier
+	// on, each thread's two latest conflicting events are those of the two
+	// latest overall that lie there. So only events[from:] are linked and
+	// walked, and the offered prefixes and their order do not change.
+	from := len(events)
+	for pi := len(prefix); pi < len(points); pi++ {
+		if pt := &points[pi]; !pt.Select && pt.EventIdx < len(events) {
+			from = pt.EventIdx
+			break
+		}
+	}
+	s.frozen += int64(from)
+	s.scanned += int64(len(events) - from)
+	s.reset(events, from)
 
 	// decisionOf[e] = index of the choice point that scheduled event e
 	// (the last thread-pick point whose EventIdx equals e). Select
 	// decisions are skipped: their "runnable" sets hold case indices,
 	// not tids, so a thread flip must target the pick that scheduled
 	// the selecting thread, not the case decision stacked on top of it.
-	for pi := range points {
+	for pi := len(prefix); pi < len(points); pi++ {
 		if pt := &points[pi]; !pt.Select && pt.EventIdx < len(events) {
 			s.decisionOf[pt.EventIdx] = int32(pi)
 		}
@@ -478,7 +506,8 @@ func (s *dporScan) expand(res *Result, prefix []trace.TID, points []ChoicePoint,
 	// leaves no event, so the schedule where T1 takes a lock *before*
 	// T0's critical section is reachable only by flipping at T0's
 	// acquire, which hides behind T0's release in the observed trace.
-	for j, ej := range events {
+	for j := from; j < len(events); j++ {
+		ej := events[j]
 		kind := chainOf(ej.Op)
 		rows := s.rowsOf(kind, ej)
 		for _, i := range s.candidates(ej, kind, rows) {

@@ -175,14 +175,16 @@ func TestConflictIndexSound(t *testing.T) {
 			}
 		}
 		var s dporScan
-		s.reset(events)
+		s.reset(events, 0)
 		for j, ej := range events {
 			kind := chainOf(ej.Op)
 			rows := s.rowsOf(kind, ej)
 			visited := make([]bool, j)
-			p := s.plan(ej, kind, rows)
+			var p walkPlan
+			s.plan(&p, ej, kind, rows)
 			for other := 0; other < s.threads; other++ {
-				w := s.walk(&p, ej, kind, other)
+				var w chainWalk
+				s.walk(&w, &p, ej, kind, other)
 				last := int32(j)
 				for i, k := w.peek(); i >= 0; i, k = w.peek() {
 					if i >= last || events[i].Tid != trace.TID(other) {

@@ -21,8 +21,10 @@ type ExploreOptions struct {
 	Budget Budget
 	// MaxPreemptions bounds non-forced context switches per schedule
 	// (choosing a thread other than the runnable current one); 0 means
-	// explore only forced switches (blocking points), matching the
-	// cooperative schedule tree.
+	// explore only forced switches (blocking points). That is not the
+	// cooperative schedule tree: bound 0 never switches at a yield while
+	// the yielding thread stays runnable (bank: 3 runs at bound 0, 56 in
+	// the tree).
 	MaxPreemptions int
 	// RecordTrace forwards to Options.RecordTrace for each run.
 	RecordTrace bool

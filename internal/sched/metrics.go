@@ -17,6 +17,10 @@ var (
 	// a finished run into the prefixes to visit, and their wall clock.
 	mExploreExpands  = obs.Default.Counter("explore.expand.count")
 	mExploreExpandNs = obs.Default.Counter("explore.expand.ns")
+	// ExploreDPOR's backtrack scan: the events of its runs before their
+	// frozen frontiers, which it skips, and from them on, which it walks.
+	mExploreDPORFrozen  = obs.Default.Counter("explore.dpor.frozen")
+	mExploreDPORScanned = obs.Default.Counter("explore.dpor.scanned")
 
 	// Fault-tolerance telemetry (DESIGN.md "Fault tolerance & budgets"):
 	// cutoff causes are counted once per exploration, panics once per

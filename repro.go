@@ -363,7 +363,8 @@ type Certificate struct {
 }
 
 // CertifyCooperability exhaustively explores every schedule of p with up to
-// maxPreemptions forced context switches (bounded up to maxRuns runs,
+// maxPreemptions preemptions, context switches away from a thread that
+// could have gone on running (bounded up to maxRuns runs,
 // 0 = 10000) and checks each trace. Unlike CheckCooperability's sampled
 // battery, a passing certificate is a proof over the entire bounded
 // schedule space — the strongest guarantee this tool offers, practical for

@@ -167,7 +167,7 @@ func TestBatchObserverPanicMidRun(t *testing.T) {
 }
 
 // TestBatchObserverPanicFinalFlush: in a run shorter than one chunk,
-// the panic fires in the end-of-run flush on the scheduler goroutine and
+// the panic fires in the end-of-run flush on run's caller and
 // must come back as the same structured error a thread panic produces
 // (stack included), not crash the process.
 func TestBatchObserverPanicFinalFlush(t *testing.T) {

@@ -91,9 +91,9 @@ func (e *ExploreError) Error() string {
 }
 
 // runPanic is the structured error the runtime reports for a panic it
-// recovered during a run — inside a virtual thread's goroutine, or in the
-// final observer flush on the scheduler goroutine; the explorers rewrap it
-// into an *ExploreError carrying the schedule prefix.
+// recovered during a run — inside a virtual thread, or in the final
+// observer flush on run's caller; the explorers rewrap it into an
+// *ExploreError carrying the schedule prefix.
 type runPanic struct {
 	where string // "T1 (worker)", or the final flush
 	val   any

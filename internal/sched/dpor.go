@@ -49,7 +49,7 @@ func ExploreDPOR(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 		return nil, fmt.Errorf("sched: ExploreOptions.Visit is required")
 	}
 	opts.RecordTrace = true // the conflict analysis below needs the trace
-	seen := map[string]bool{"": true}
+	var seen prefixSet
 	var scan dporScan
 	defer func() {
 		mExploreDPORFrozen.Add(scan.frozen)
@@ -58,10 +58,10 @@ func ExploreDPOR(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 	return exploreDFS(p, &opts, "explore-dpor",
 		func(prefix []trace.TID, res *Result, points []ChoicePoint, push func([]trace.TID), ftrack *flight.Track) {
 			pushed := 0
-			scan.expand(res, prefix, points, opts.MaxPreemptions, func(np []trace.TID) {
-				if key := prefixKey(np); !seen[key] {
-					seen[key] = true
-					push(np)
+			seen.run(points)
+			scan.expand(res, prefix, points, opts.MaxPreemptions, func(dp int, t trace.TID) {
+				if seen.add(dp, t) {
+					push(prefixAt(points, dp, t))
 					pushed++
 				}
 			})
@@ -425,18 +425,18 @@ func (s *dporScan) candidates(ej trace.Event, kind chainKind, rows int32) []int3
 	return cands
 }
 
-// flip returns the prefix that schedules thread t at the decision point of
-// event i, or nil when the current prefix froze that decision, t was not
-// runnable there or already chosen, or the switch would exceed the
+// flip returns the decision point of event i, at which a flip schedules
+// thread t instead, or -1 when the current prefix froze that decision, t
+// was not runnable there or already chosen, or the switch would exceed the
 // preemption bound. pre holds the path's running preemption counts.
-func (s *dporScan) flip(i int32, t trace.TID, prefix []trace.TID, points []ChoicePoint, pre []int, maxPreemptions int) []trace.TID {
+func (s *dporScan) flip(i int32, t trace.TID, prefix []trace.TID, points []ChoicePoint, pre []int, maxPreemptions int) int {
 	dp := int(s.decisionOf[i])
 	if dp < 0 || dp < len(prefix) {
-		return nil // decision frozen by the current prefix
+		return -1 // decision frozen by the current prefix
 	}
 	pt := points[dp]
 	if !containsTID(pt.Runnable, t) || t == pt.Chosen {
-		return nil
+		return -1
 	}
 	// Preemption budget: the flip costs one if the previously running
 	// thread was still runnable.
@@ -445,20 +445,17 @@ func (s *dporScan) flip(i int32, t trace.TID, prefix []trace.TID, points []Choic
 		cost = 1
 	}
 	if pre[dp]+cost > maxPreemptions {
-		return nil
+		return -1
 	}
-	np := make([]trace.TID, dp+1)
-	for k := 0; k < dp; k++ {
-		np[k] = points[k].Chosen
-	}
-	np[dp] = t
-	return np
+	return dp
 }
 
-// expand offers push the backtracking prefixes of one run: a flip at each
-// unfrozen decision point where a cross-thread conflict justifies one,
-// then every alternative case of every unfrozen select decision.
-func (s *dporScan) expand(res *Result, prefix []trace.TID, points []ChoicePoint, maxPreemptions int, push func([]trace.TID)) {
+// expand offers the backtracking prefixes of one run, each as the decision
+// point dp it changes and the thread, or select case, t it decides there
+// (the prefix is prefixAt(points, dp, t)): a flip at each unfrozen
+// decision point where a cross-thread conflict justifies one, then every
+// alternative case of every unfrozen select decision.
+func (s *dporScan) expand(res *Result, prefix []trace.TID, points []ChoicePoint, maxPreemptions int, offer func(dp int, t trace.TID)) {
 	if res == nil || res.Trace == nil {
 		return
 	}
@@ -511,8 +508,8 @@ func (s *dporScan) expand(res *Result, prefix []trace.TID, points []ChoicePoint,
 		kind := chainOf(ej.Op)
 		rows := s.rowsOf(kind, ej)
 		for _, i := range s.candidates(ej, kind, rows) {
-			if np := s.flip(i, ej.Tid, prefix, points, pre, maxPreemptions); np != nil {
-				push(np)
+			if dp := s.flip(i, ej.Tid, prefix, points, pre, maxPreemptions); dp >= 0 {
+				offer(dp, ej.Tid)
 			}
 		}
 		s.link(ej, j, kind, rows)
@@ -528,23 +525,45 @@ func (s *dporScan) expand(res *Result, prefix []trace.TID, points []ChoicePoint,
 			continue
 		}
 		for _, alt := range pt.Runnable {
-			if alt == pt.Chosen {
-				continue
+			if alt != pt.Chosen {
+				offer(pi, alt)
 			}
-			np := make([]trace.TID, pi+1)
-			for k := 0; k < pi; k++ {
-				np[k] = points[k].Chosen
-			}
-			np[pi] = alt
-			push(np)
 		}
 	}
 }
 
-func prefixKey(p []trace.TID) string {
-	b := make([]byte, 0, len(p)*2)
-	for _, t := range p {
-		b = append(b, byte(t), byte(t>>8))
+// prefixSet is the set of prefixes an ExploreDPOR search has pushed, each
+// keyed by two bytes per decision. key holds the current run's choices so
+// encoded, so that testing an offer allocates nothing: the prefix that
+// decides t at point dp is key[:2*dp] followed by t's bytes, which add
+// writes into key in place and then restores. Only a new prefix's key is
+// copied into a string.
+type prefixSet struct {
+	seen map[string]bool
+	key  []byte
+}
+
+// run encodes the choices of the run whose offers follow.
+func (s *prefixSet) run(points []ChoicePoint) {
+	s.key = s.key[:0]
+	for _, pt := range points {
+		s.key = append(s.key, byte(pt.Chosen), byte(pt.Chosen>>8))
 	}
-	return string(b)
+}
+
+// add adds prefixAt(points, dp, t), for the points of the last run call,
+// and reports whether it is new.
+func (s *prefixSet) add(dp int, t trace.TID) bool {
+	k := s.key[:2*dp+2]
+	c0, c1 := k[2*dp], k[2*dp+1]
+	k[2*dp], k[2*dp+1] = byte(t), byte(t>>8)
+	dup := s.seen[string(k)]
+	if !dup {
+		if s.seen == nil {
+			s.seen = make(map[string]bool)
+		}
+		s.seen[string(k)] = true
+	}
+	k[2*dp], k[2*dp+1] = c0, c1
+	return !dup
 }

@@ -104,23 +104,24 @@ func expandDPOROracle(res *Result, prefix []trace.TID, points []ChoicePoint, max
 }
 
 // exploreDPORRuns runs ExploreDPOR's search and hands observe each run's
-// expansion input and the prefixes the indexed scan offers for it, before
-// they are deduplicated and pushed.
+// expansion input and every prefix the indexed scan offers for it, new or
+// not. The search pushes the new ones, as ExploreDPOR does.
 func exploreDPORRuns(p *Program, opts ExploreOptions, observe func(run DPORRun, offered [][]trace.TID)) (*ExploreReport, error) {
 	opts.RecordTrace = true
-	seen := map[string]bool{"": true}
+	var seen prefixSet
 	var scan dporScan
 	return exploreDFS(p, &opts, "explore-dpor",
 		func(prefix []trace.TID, res *Result, points []ChoicePoint, push func([]trace.TID), _ *flight.Track) {
 			var offered [][]trace.TID
-			scan.expand(res, prefix, points, opts.MaxPreemptions, func(np []trace.TID) { offered = append(offered, np) })
-			observe(DPORRun{prefix, res, points}, offered)
-			for _, np := range offered {
-				if key := prefixKey(np); !seen[key] {
-					seen[key] = true
+			seen.run(points)
+			scan.expand(res, prefix, points, opts.MaxPreemptions, func(dp int, t trace.TID) {
+				np := prefixAt(points, dp, t)
+				offered = append(offered, np)
+				if seen.add(dp, t) {
 					push(np)
 				}
-			}
+			})
+			observe(DPORRun{prefix, res, points}, offered)
 		})
 }
 
@@ -216,12 +217,17 @@ type DPORRun struct {
 func (r DPORRun) Events() int { return len(r.res.Trace.Events) }
 
 // RecordDPOR runs ExploreDPOR's search and returns every run's expansion
-// input, in visit order.
+// input, in visit order. Each run's choice points are copied, since the
+// search's next replay reuses their arrays.
 func RecordDPOR(p *Program, opts ExploreOptions) ([]DPORRun, error) {
 	var runs []DPORRun
 	opts.Visit = func(*Result, error) bool { return true }
 	_, err := exploreDPORRuns(p, opts, func(r DPORRun, _ [][]trace.TID) {
 		if r.res != nil {
+			r.points = slices.Clone(r.points)
+			for i := range r.points {
+				r.points[i].Runnable = slices.Clone(r.points[i].Runnable)
+			}
 			runs = append(runs, r)
 		}
 	})
@@ -234,7 +240,7 @@ func ExpandDPOR(runs []DPORRun, maxPreemptions int) int {
 	var scan dporScan
 	n := 0
 	for _, r := range runs {
-		scan.expand(r.res, r.prefix, r.points, maxPreemptions, func([]trace.TID) { n++ })
+		scan.expand(r.res, r.prefix, r.points, maxPreemptions, func(int, trace.TID) { n++ })
 	}
 	return n
 }

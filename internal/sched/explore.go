@@ -221,14 +221,20 @@ func expandPrefixes(points []ChoicePoint, pre []int, prefixLen, maxPreemptions i
 			if used+cost > maxPreemptions {
 				continue
 			}
-			np := make([]trace.TID, i+1)
-			for j := 0; j < i; j++ {
-				np[j] = points[j].Chosen
-			}
-			np[i] = alt
-			push(np)
+			push(prefixAt(points, i, alt))
 		}
 	}
+}
+
+// prefixAt returns the forced-decision prefix that repeats points' choices
+// before point dp and decides t there.
+func prefixAt(points []ChoicePoint, dp int, t trace.TID) []trace.TID {
+	np := make([]trace.TID, dp+1)
+	for k := 0; k < dp; k++ {
+		np[k] = points[k].Chosen
+	}
+	np[dp] = t
+	return np
 }
 
 // preemptionPrefix returns the running preemption counts of a decision-point

@@ -15,8 +15,8 @@ import (
 // stream, so it is a deterministic function of the schedule — exactly the
 // kind of input-dependent checker crash the explorer must isolate.
 // These runs are shorter than the default batch, so the panic fires in the
-// final flush on the scheduler goroutine; the tests below pin that it is
-// still reported as a panic.
+// final flush on run's caller; the tests below pin that it is still
+// reported as a panic.
 type schedulePanicObserver struct {
 	t0, t1 int
 }

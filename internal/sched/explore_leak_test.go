@@ -7,15 +7,18 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
-// requireNoGoroutineLeak runs f and fails if the process goroutine count
-// has not returned to its baseline shortly after: every replayed virtual
-// thread must be gone when the search returns, on every exit path.
-func requireNoGoroutineLeak(t *testing.T, f func()) {
+// requireNoGoroutineLeak runs f, handing it the process goroutine count it
+// starts from, and fails if the count has not returned to that baseline
+// shortly after: every replayed virtual thread must be gone when the
+// search returns, on every exit path.
+func requireNoGoroutineLeak(t *testing.T, f func(base int)) {
 	t.Helper()
-	base := runtime.NumGoroutine()
-	f()
+	base := settledGoroutines()
+	f(base)
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > base {
 		if time.Now().After(deadline) {
@@ -25,6 +28,48 @@ func requireNoGoroutineLeak(t *testing.T, f func()) {
 				base, runtime.NumGoroutine(), buf[:n])
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// settledGoroutines returns the process goroutine count once it holds
+// still: a goroutine that an earlier runtime's close released may not have
+// exited yet.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// countThreadGoroutines wraps a search's Visit so that each call first
+// checks that the search's runtime keeps one goroutine per thread record
+// but main's, whose thread runs on the search's own goroutine: the process
+// count must be base plus the largest thread count of the search's runs so
+// far, minus one. A goroutine that a context's timer starts may be running
+// for a moment, so the check waits a little for the count to settle.
+func countThreadGoroutines(t *testing.T, base int, visit func(*Result, error) bool) func(*Result, error) bool {
+	threads := 1
+	return func(res *Result, err error) bool {
+		if res != nil {
+			threads = max(threads, res.Threads)
+		}
+		want := base + threads - 1
+		deadline := time.Now().Add(2 * time.Second)
+		for got := runtime.NumGoroutine(); got != want; got = runtime.NumGoroutine() {
+			if time.Now().After(deadline) {
+				t.Errorf("%d goroutines inside Visit, want %d: baseline %d plus %d thread records but main's",
+					got, want, base, threads-1)
+				return false
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return visit(res, err)
 	}
 }
 
@@ -72,6 +117,185 @@ var FaultFixtures = []struct {
 }{
 	{"panicky-incrementers", panickyIncrementers},
 	{"lock-order-deadlock", lockOrderDeadlock},
+	{"main-detects-deadlock", mainDetectsDeadlock},
+	{"worker-detects-deadlock", workerDetectsDeadlock},
+	{"worker-deadlocks-after-main", workerDeadlocksAfterMain},
+	{"worker-panics", workerPanics},
+	{"main-panics", mainPanics},
+}
+
+// The programs of runEndings. Each names the thread that holds the baton
+// when the run ends under the cooperative strategy (and each of the fault
+// ones is one of FaultFixtures).
+
+// mainEndsLast joins its worker before its own last event.
+func mainEndsLast() *Program {
+	p := NewProgram("main-ends-last")
+	x := p.Var("x")
+	p.SetMain(func(t *T) {
+		t.Join(t.Fork("w", func(t *T) { t.Write(x, 1) }))
+		t.Write(x, 2)
+	})
+	return p
+}
+
+// workerEndsAfterMain never joins its worker, which runs once main has
+// returned.
+func workerEndsAfterMain() *Program {
+	p := NewProgram("worker-ends-after-main")
+	x := p.Var("x")
+	p.SetMain(func(t *T) {
+		t.Fork("w", func(t *T) { t.Write(x, 1) })
+		t.Write(x, 2)
+	})
+	return p
+}
+
+// mainDetectsDeadlock blocks main, last, on a lock its joined worker
+// returned holding.
+func mainDetectsDeadlock() *Program {
+	p := NewProgram("main-detects-deadlock")
+	m := p.Mutex("m")
+	p.SetMain(func(t *T) {
+		t.Join(t.Fork("w", func(t *T) { t.Acquire(m) }))
+		t.Acquire(m)
+	})
+	return p
+}
+
+// workerDetectsDeadlock blocks its worker, last, on a lock held by main,
+// which is blocked joining it.
+func workerDetectsDeadlock() *Program {
+	p := NewProgram("worker-detects-deadlock")
+	m := p.Mutex("m")
+	p.SetMain(func(t *T) {
+		t.Acquire(m)
+		t.Join(t.Fork("w", func(t *T) { t.Acquire(m) }))
+	})
+	return p
+}
+
+// workerDeadlocksAfterMain blocks its worker on a lock main returned
+// holding.
+func workerDeadlocksAfterMain() *Program {
+	p := NewProgram("worker-deadlocks-after-main")
+	m := p.Mutex("m")
+	p.SetMain(func(t *T) {
+		t.Acquire(m)
+		t.Fork("w", func(t *T) { t.Acquire(m) })
+	})
+	return p
+}
+
+// workerPanics panics in the worker main is parked joining.
+func workerPanics() *Program {
+	p := NewProgram("worker-panics")
+	p.SetMain(func(t *T) {
+		t.Join(t.Fork("w", func(*T) { panic("w failed") }))
+	})
+	return p
+}
+
+// mainPanics panics in main, with its worker spawned but not yet run.
+func mainPanics() *Program {
+	p := NewProgram("main-panics")
+	x := p.Var("x")
+	p.SetMain(func(t *T) {
+		t.Fork("w", func(t *T) { t.Write(x, 1) })
+		panic("main failed")
+	})
+	return p
+}
+
+// longWorker runs 2,000 writes in a worker that main joins, long enough
+// for a cancelled context to stop the worker, at its 1,024th event.
+func longWorker() *Program {
+	p := NewProgram("long-worker")
+	x := p.Var("x")
+	p.SetMain(func(t *T) {
+		t.Join(t.Fork("w", func(t *T) {
+			for i := 0; i < 2000; i++ {
+				t.Write(x, int64(i))
+			}
+		}))
+	})
+	return p
+}
+
+// runEndings covers every way a run can end, each case named for the
+// thread that holds the baton at the end: a thread exiting with no thread
+// left, a thread finding every other one blocked, a panic, a replay
+// diverging at the first decision, and a cancelled context. A run is
+// under the cooperative strategy unless replay is set, and under a
+// cancelled context when cancel is. Its error must match is under
+// errors.Is, and its text must be text ("" for no error).
+var runEndings = []struct {
+	name   string
+	prog   func() *Program
+	replay []trace.TID
+	cancel bool
+	is     error
+	text   string
+}{
+	{name: "main-ends-last", prog: mainEndsLast},
+	{name: "worker-ends-after-main", prog: workerEndsAfterMain},
+	{name: "main-detects-deadlock", prog: mainDetectsDeadlock, is: ErrDeadlock,
+		text: "sched: deadlock: no runnable threads; T0(main) blocked on lock m;"},
+	{name: "worker-detects-deadlock-main-blocked", prog: workerDetectsDeadlock, is: ErrDeadlock,
+		text: "sched: deadlock: no runnable threads; T0(main) blocked joining T1; T1(w) blocked on lock m; waits-for cycle: T0 -> T1 -> T0"},
+	{name: "worker-detects-deadlock-after-main", prog: workerDeadlocksAfterMain, is: ErrDeadlock,
+		text: "sched: deadlock: no runnable threads; T1(w) blocked on lock m;"},
+	{name: "worker-panics-main-parked", prog: workerPanics,
+		text: "sched: panic in T1 (w): w failed"},
+	{name: "main-panics", prog: mainPanics,
+		text: "sched: panic in T0 (main): main failed"},
+	{name: "first-decision-diverges", prog: mainEndsLast, replay: []trace.TID{1}, is: ErrReplayDiverged,
+		text: "sched: replay diverged from feasible schedule: strategy replay picked T1; runnable [0]"},
+	{name: "worker-cancelled-main-blocked", prog: longWorker, cancel: true, is: ErrCancelled,
+		text: "sched: run cancelled after 1023 events: context canceled"},
+}
+
+// TestRunEndings runs each of runEndings once, checking its error, and
+// searches its program with Explore and ExploreDPOR, all the endings of
+// its schedules included. After each, no goroutine may be left, and
+// inside each search's Visit the search must keep exactly one goroutine
+// per thread record but main's.
+func TestRunEndings(t *testing.T) {
+	for _, c := range runEndings {
+		t.Run(c.name+"/run", func(t *testing.T) {
+			opts := Options{Strategy: Cooperative{}}
+			if c.replay != nil {
+				opts.Strategy = NewReplay(c.replay)
+			}
+			if c.cancel {
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				opts.Ctx = ctx
+			}
+			requireNoGoroutineLeak(t, func(int) {
+				_, err := Run(c.prog(), opts)
+				text := ""
+				if err != nil {
+					text = err.Error()
+				}
+				if text != c.text || (c.is != nil && !errors.Is(err, c.is)) {
+					t.Errorf("err = %v, want %q (errors.Is %v)", err, c.text, c.is)
+				}
+			})
+		})
+		for _, ex := range explorers {
+			t.Run(c.name+"/"+ex.name, func(t *testing.T) {
+				requireNoGoroutineLeak(t, func(base int) {
+					runs := 0
+					_, err := ex.explore(c.prog(), ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2,
+						Visit: countThreadGoroutines(t, base, func(*Result, error) bool { runs++; return true })})
+					if err != nil || runs == 0 {
+						t.Fatalf("%d runs, err %v", runs, err)
+					}
+				})
+			})
+		}
+	}
 }
 
 // deadlineInsideLocks runs one thread long enough for a 1-ms deadline to
@@ -96,11 +320,13 @@ func deadlineInsideLocks() *Program {
 
 // TestExploreNoGoroutineLeak covers every way a search can end — clean
 // completion, early stop, each budget cutoff, cancellation, replay panics,
-// including thread panics recovered on pooled goroutines, and runs killed
-// while threads are inside WithLock bodies — under Explore and
-// ExploreDPOR, asserting no goroutine outlives the call. The parallel=N
-// subtests run Explore with the deprecated ExploreOptions.Parallel set to
-// N, as perfbench still sets it: the ignored field must start no worker.
+// including thread panics recovered on thread records' goroutines, and
+// runs killed while threads are inside WithLock bodies — under Explore and
+// ExploreDPOR, asserting no goroutine outlives the call and that the
+// search keeps exactly one goroutine per thread record but main's
+// (countThreadGoroutines). The parallel=N subtests run Explore with the
+// deprecated ExploreOptions.Parallel set to N, as perfbench still sets it:
+// the ignored field must start no worker.
 func TestExploreNoGoroutineLeak(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -192,7 +418,8 @@ func TestExploreNoGoroutineLeak(t *testing.T) {
 				}
 				return visit(res, err)
 			}
-			requireNoGoroutineLeak(t, func() {
+			requireNoGoroutineLeak(t, func(base int) {
+				opts.Visit = countThreadGoroutines(t, base, opts.Visit)
 				rep, err := explore(prog(), opts)
 				if err != nil {
 					t.Fatal(err)
@@ -238,7 +465,7 @@ func TestKillUnwindsDeferredOps(t *testing.T) {
 	})
 	for _, quantum := range []int{1, 1 << 30} {
 		t.Run(fmt.Sprintf("quantum=%d", quantum), func(t *testing.T) {
-			requireNoGoroutineLeak(t, func() {
+			requireNoGoroutineLeak(t, func(int) {
 				_, err := Run(p, Options{Strategy: &RoundRobin{Quantum: quantum}})
 				if !errors.Is(err, ErrDeadlock) {
 					t.Fatalf("err = %v, want ErrDeadlock", err)

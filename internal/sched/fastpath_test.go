@@ -167,7 +167,8 @@ func TestWarmSymbolTableKeepsTraces(t *testing.T) {
 // TestFastPathStats asserts the SchedStats fast-path counters move: switches
 // are one-hop direct handoffs, declined preemptions are elided parks, and
 // repeated call sites hit the location cache. Every switch but the first
-// (the scheduler goroutine's initial handoff) is a direct one.
+// (main's first turn, which run's caller takes without a handoff) is a
+// direct one.
 func TestFastPathStats(t *testing.T) {
 	fast, err := Run(counterProgram(3, 30, true), Options{Strategy: NewRandom(3)})
 	if err != nil {

@@ -44,9 +44,9 @@ var (
 
 	// Trace-generation fast-path telemetry (DESIGN.md "Trace generation
 	// hot path"): how often the PC→location cache answered without
-	// symbolizing, how many switches were one-hop thread→thread wakes that
-	// bypassed the scheduler goroutine, and how many scheduling points
-	// resolved in place with no parking at all.
+	// symbolizing, how many switches were one-hop thread→thread wakes (all
+	// but main's first turn, which run's caller takes), and how many
+	// scheduling points resolved in place with no parking at all.
 	mRunLocHits        = obs.Default.Counter("runtime.loc.hits")
 	mRunLocMisses      = obs.Default.Counter("runtime.loc.misses")
 	mRunDirectHandoffs = obs.Default.Counter("runtime.handoff.direct")

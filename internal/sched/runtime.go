@@ -164,7 +164,8 @@ type SchedStats struct {
 	// Preemptions counts switches away from a still-runnable thread.
 	Preemptions int
 	// DirectHandoffs counts switches performed as one-hop thread→thread
-	// wakes, bypassing the scheduler goroutine.
+	// wakes: every switch but main's first turn, which run's caller takes
+	// without one.
 	DirectHandoffs int
 	// ElidedParks counts scheduling points at which the strategy was
 	// consulted but the running thread kept the baton with zero channel
@@ -253,9 +254,12 @@ type condState struct {
 
 var errKilled = errors.New("sched: thread killed")
 
-// Runtime is the mutable state of a run. Exactly one virtual thread (or
-// the scheduler loop) executes at any moment, handing off control through
-// channels, so Runtime fields need no further locking.
+// Runtime is the mutable state of a run. Exactly one virtual thread, or
+// run's caller before main starts and after the run ends, executes at any
+// moment, handing off control through channels, so Runtime fields need no
+// further locking. The caller runs main itself, and every other thread
+// runs on its record's goroutine (serve), which the runtime keeps, parked
+// on the record's resume channel between runs, until close.
 //
 // An exploration runs all its replays on one Runtime, and Run makes a
 // fresh one for its single run. Each run starts from reset, which keeps
@@ -268,11 +272,12 @@ type Runtime struct {
 	prog  *Program
 	opts  Options
 	strat Strategy
-	pool  *threadPool // runs the virtual threads' goroutines
 
 	// threads holds the run's thread records, indexed by id. Records past
-	// len, from earlier runs, are recycled by spawn.
+	// len, from earlier runs, are recycled by spawn. serving counts the
+	// records' goroutines that have not left serve.
 	threads []*thread
+	serving *sync.WaitGroup
 	current trace.TID
 
 	vals    []int64
@@ -291,6 +296,8 @@ type Runtime struct {
 
 	methodIDs map[string]uint64
 
+	// toSched wakes run's caller: when the thread that ends a run has
+	// outlived main, and in killAll's handshake.
 	toSched chan struct{}
 	killed  bool
 	err     error
@@ -316,8 +323,8 @@ type Runtime struct {
 	// them to reproduce select nondeterminism).
 	choices []int
 
-	// Fast-path telemetry (see handoff): switches that bypassed the
-	// scheduler goroutine, and scheduling points resolved in place with no
+	// Fast-path telemetry (see handoff): switches that woke the next
+	// thread directly, and scheduling points resolved in place with no
 	// parking at all.
 	directHandoffs int
 	elidedParks    int
@@ -327,8 +334,8 @@ type Runtime struct {
 	// stamps it immediately before the resume-channel send and the resumed
 	// goroutine reads it after the receive — the channel gives the
 	// happens-before edge — so each measured interval is true wall-clock
-	// handoff time, never double-counted across threads. killAll clears
-	// phaseOn first so teardown wakes are not misattributed.
+	// handoff time, never double-counted across threads. end and killAll
+	// clear phaseOn first so teardown wakes are not misattributed.
 	phaseOn         bool
 	runT0           time.Time
 	handoffT0       time.Time
@@ -359,16 +366,22 @@ func Run(p *Program, opts Options) (*Result, error) {
 	return res, err
 }
 
-// newRuntime returns a Runtime with its own thread pool, for one or more
-// runs; close releases it once the last run has returned.
+// newRuntime returns a Runtime for one or more runs; close releases it
+// once the last run has returned.
 func newRuntime() *Runtime {
-	return &Runtime{pool: newThreadPool(), toSched: make(chan struct{}), methodIDs: make(map[string]uint64)}
+	return &Runtime{serving: new(sync.WaitGroup), toSched: make(chan struct{}), methodIDs: make(map[string]uint64)}
 }
 
-// close stops the runtime's pooled goroutines and returns its staging
-// chunks to the pool.
+// close stops the thread records' goroutines, returning once each has left
+// serve, and returns the runtime's staging chunks to the pool. Every run
+// on rt must have returned.
 func (rt *Runtime) close() {
-	rt.pool.close()
+	for _, t := range rt.threads[:cap(rt.threads)] {
+		if t != nil {
+			close(t.resume)
+		}
+	}
+	rt.serving.Wait()
 	rt.log.release()
 }
 
@@ -379,8 +392,8 @@ func (rt *Runtime) reset(p *Program, opts Options) {
 		prog:        p,
 		opts:        opts,
 		strat:       opts.Strategy,
-		pool:        rt.pool,
 		threads:     rt.threads[:0],
+		serving:     rt.serving,
 		current:     -1,
 		mus:         resized(rt.mus, len(p.mutexes)),
 		conds:       resized(rt.conds, len(p.conds)),
@@ -471,13 +484,19 @@ func (rt *Runtime) run(p *Program, opts Options) (*Result, error) {
 		rt.runT0 = time.Now()
 	}
 
+	// The caller runs main, the first pick's only candidate, itself. If
+	// main exits handing the baton on, the thread that ends the run hands
+	// it back through toSched.
 	rt.spawn("main", p.main)
-	err := rt.loop()
+	if _, ok := rt.pickNext(); ok && rt.threadBody(&rt.threads[0].handle) {
+		<-rt.toSched
+	}
+	err := rt.finish()
 	// Deliver the pending partial batch whatever way the run ended, so
 	// observers see every emitted event — on an aborted run, everything up
-	// to the failure point. This flush runs on the scheduler goroutine
-	// (threads are parked or dead), so observer panics are caught here
-	// rather than by a thread's recover.
+	// to the failure point. This flush runs on run's caller (threads are
+	// parked or dead), so observer panics are caught here rather than by a
+	// thread's recover.
 	if ferr := rt.flushBatchFinal(); ferr != nil && err == nil {
 		err = ferr
 	}
@@ -545,8 +564,9 @@ func chanNames(defs []chanDef) []string {
 }
 
 // spawn sets up a thread record, recycling an earlier run's record of the
-// same id, and starts it on a pool goroutine, which parks immediately
-// awaiting the thread's first turn.
+// same id. A new record but main's starts its goroutine, which parks until
+// the record's thread is first handed the baton; a recycled record's
+// goroutine is already parked, so spawning costs no goroutine operation.
 func (rt *Runtime) spawn(name string, fn Proc) *thread {
 	id := len(rt.threads)
 	var t *thread
@@ -555,6 +575,10 @@ func (rt *Runtime) spawn(name string, fn Proc) *thread {
 	}
 	if t == nil {
 		t = &thread{resume: make(chan struct{})}
+		if id > 0 {
+			rt.serving.Add(1)
+			go rt.serve(&t.handle, t.resume)
+		}
 	}
 	*t = thread{
 		id:          trace.TID(id),
@@ -568,46 +592,38 @@ func (rt *Runtime) spawn(name string, fn Proc) *thread {
 	}
 	rt.threads = append(rt.threads, t)
 	rt.symbols.Threads = append(rt.symbols.Threads, name)
-	rt.pool.start(&t.handle)
 	return t
 }
 
-// loop is the scheduler goroutine. It only brackets the run: it hands the
-// baton to the first picked thread and then sleeps until a baton holder
-// hits a terminal condition (all done, deadlock, or error) — every
-// intermediate switch is a direct thread→thread handoff that never wakes
-// this goroutine (see handoff).
-func (rt *Runtime) loop() error {
-	if next, ok := rt.pickNext(); ok {
-		rt.noteHandoffStart()
-		rt.threads[next].resume <- struct{}{}
-		<-rt.toSched
+// serve is a thread record's goroutine: it runs the record's thread in
+// every run that spawns one, from the thread's first turn, and leaves when
+// close closes resume.
+func (rt *Runtime) serve(x *T, resume chan struct{}) {
+	for range resume {
+		rt.noteResumed()
+		rt.threadBody(x)
 	}
-	return rt.finish()
+	rt.serving.Done()
 }
 
-// finish settles a terminal state on the scheduler goroutine: the baton
-// came back because the run errored, completed, or deadlocked.
+// finish settles the run on run's caller once main has returned and the
+// baton is back: the run completed, errored, or deadlocked. Main is never
+// resumed here (see end).
 func (rt *Runtime) finish() error {
+	if rt.err == nil && !rt.allDone() {
+		rt.err = rt.deadlockError()
+	}
 	if rt.err != nil {
 		rt.killAll()
-		return rt.err
 	}
-	if rt.allDone() {
-		return nil
-	}
-	err := rt.deadlockError()
-	rt.err = err
-	rt.killAll()
-	return err
+	return rt.err
 }
 
 // pickNext runs one scheduling decision: build the runnable set, consult
 // the strategy, update the switch telemetry, and install the choice as
-// rt.current. ok=false means the baton must go to the scheduler goroutine:
-// the run errored or diverged (rt.err is set), or no thread is runnable
-// (completion or deadlock — finish tells them apart). Exactly one
-// goroutine — the baton holder — calls this at a time.
+// rt.current. ok=false means the run is over: it errored or diverged
+// (rt.err is set), or no thread is runnable (completion or deadlock). The
+// baton holder calls it, so exactly one goroutine does at a time.
 func (rt *Runtime) pickNext() (trace.TID, bool) {
 	if rt.err != nil {
 		return 0, false
@@ -632,46 +648,72 @@ func (rt *Runtime) pickNext() (trace.TID, bool) {
 	return next, true
 }
 
-// handoff transfers the baton from t without waking the scheduler
-// goroutine: one channel send when the strategy picks a different thread,
-// zero channel operations when it keeps t running (the elided park — the
-// decision was forced or the strategy declined to preempt, so the running
-// thread just continues). parkAfter says whether t expects to run again (a
-// preemption point, or a thread that just blocked) or is exiting
-// (threadBody's defer). Only the terminal transitions — completion,
-// deadlock, error — fall back to the scheduler goroutine.
-func (rt *Runtime) handoff(t *thread, parkAfter bool) {
+// handoff transfers the baton from t: one channel send, which wakes the
+// picked thread's goroutine, when the strategy picks a different thread,
+// and zero channel operations when it keeps t running (the elided park —
+// the decision was forced or the strategy declined to preempt, so the
+// running thread just continues). parkAfter says whether t expects to run
+// again (a preemption point, or a thread that just blocked) or is exiting
+// (threadBody's defer). When no thread can take the baton, t ends the run
+// (see end). handoff reports whether the baton went to another thread of
+// the run, which for an exiting main means the run goes on without it.
+func (rt *Runtime) handoff(t *thread, parkAfter bool) bool {
 	if rt.killed {
-		// Only a dying thread can observe this: killAll holds the baton
-		// and resumes parked threads one by one, each unwinding via
-		// errKilled. An op in one of its defers that blocks (a deferred
-		// Acquire or Join) is aborted here, so that only the exit in
-		// threadBody's defer completes killAll's resume/toSched
-		// handshake, once per thread.
+		// Only a dying thread can observe this: main unwinding on run's
+		// caller, or a thread that killAll resumed. An op in one of its
+		// defers that blocks (a deferred Acquire or Join) is aborted here,
+		// so that only the exit in threadBody's defer completes killAll's
+		// resume/toSched handshake, once per thread but main.
 		if parkAfter {
 			panic(errKilled)
 		}
-		rt.toSched <- struct{}{}
-		return
+		if t.id > 0 {
+			rt.toSched <- struct{}{}
+		}
+		return false
 	}
 	next, ok := rt.pickNext()
 	if !ok {
-		// Terminal: wake the scheduler goroutine to settle the run.
-		rt.toSched <- struct{}{}
-		if parkAfter {
-			rt.waitTurn(t) // resumed only by killAll; unwinds via errKilled
-		}
-		return
+		rt.end(t, parkAfter)
+		return false
 	}
 	if next == t.id {
 		rt.elidedParks++
-		return
+		return false
 	}
 	rt.directHandoffs++
 	rt.noteHandoffStart()
 	rt.threads[next].resume <- struct{}{}
 	if parkAfter {
 		rt.waitTurn(t)
+	}
+	return true
+}
+
+// end hands the baton back to run's caller when t, its holder, finds that
+// no thread can take it: the run completed, errored, or deadlocked. While
+// main is alive the caller is inside it, so t records a deadlock's text
+// while the blocked threads' states still show it and unwinds main with
+// the kill flag set: by panicking when t is main, else by resuming main.
+// Once main has returned, the caller waits on toSched, unless t is main
+// itself, exiting.
+func (rt *Runtime) end(t *thread, parkAfter bool) {
+	main := rt.threads[0]
+	if main.state != stateDone {
+		if rt.err == nil {
+			rt.err = rt.deadlockError()
+		}
+		rt.killed = true
+		rt.phaseOn = false // teardown wakes are not handoffs
+		if t == main {
+			panic(errKilled)
+		}
+		main.resume <- struct{}{}
+	} else if t != main {
+		rt.toSched <- struct{}{}
+	}
+	if parkAfter {
+		rt.waitTurn(t) // resumed only by killAll; unwinds via errKilled
 	}
 }
 
@@ -806,14 +848,14 @@ func (rt *Runtime) waitsForCycle() []trace.TID {
 	return nil
 }
 
-// killAll resumes every live thread with the kill flag set so its goroutine
-// unwinds, preventing leaks after an error. It indexes rather than ranges
-// because a deferred Fork in an unwinding thread appends a thread, which
-// must be killed too.
+// killAll resumes every live thread but main, which has returned or never
+// ran, with the kill flag set so its goroutine unwinds back into serve. It
+// indexes rather than ranges because a deferred Fork in an unwinding
+// thread appends a thread, which must be killed too.
 func (rt *Runtime) killAll() {
 	rt.killed = true
 	rt.phaseOn = false // teardown wakes are not handoffs
-	for i := 0; i < len(rt.threads); i++ {
+	for i := 1; i < len(rt.threads); i++ {
 		t := rt.threads[i]
 		if t.state == stateDone {
 			continue
@@ -823,12 +865,11 @@ func (rt *Runtime) killAll() {
 	}
 }
 
-// threadBody runs one virtual thread on a pool goroutine, returning once
-// the thread has finished or been killed.
-func (rt *Runtime) threadBody(x *T) {
+// threadBody runs one virtual thread from its first turn, returning once
+// the thread has finished or been killed. It reports whether the thread
+// exited handing the baton to another thread (see handoff).
+func (rt *Runtime) threadBody(x *T) (handedOn bool) {
 	t := x.t
-	<-t.resume
-	rt.noteResumed()
 	defer func() {
 		if r := recover(); r != nil && r != errKilled { //nolint:errorlint // sentinel identity
 			if rt.err == nil {
@@ -840,14 +881,16 @@ func (rt *Runtime) threadBody(x *T) {
 		}
 		t.state = stateDone
 		rt.wakeJoiners(t.id)
-		rt.handoff(t, false)
+		handedOn = rt.handoff(t, false)
 	}()
 	rt.emit(t, trace.OpBegin, 0, locNone)
 	t.proc(x)
 	rt.emit(t, trace.OpEnd, 0, locNone)
+	return // the deferred exit sets handedOn
 }
 
-// waitTurn parks the calling thread until the scheduler resumes it.
+// waitTurn parks the calling thread until a handoff, end or killAll
+// resumes it.
 func (rt *Runtime) waitTurn(t *thread) {
 	<-t.resume
 	rt.noteResumed()
@@ -917,10 +960,10 @@ func (rt *Runtime) emitPC(t *thread, op trace.Op, target uint64, pc uintptr) {
 // via sitePC/emitPC; runtime-internal events pass locNone.
 func (rt *Runtime) emit(t *thread, op trace.Op, target uint64, loc trace.LocID) {
 	if rt.killed {
-		// killAll is unwinding t, and an op in one of its defers (a
-		// WithLock's Release) never happened in the run: recording it
-		// would end a deadlocked run's schedule in events that its replay
-		// cannot reproduce.
+		// t is being killed (killAll, or main unwinding after end), and an
+		// op in one of its defers (a WithLock's Release) never happened in
+		// the run: recording it would end a deadlocked run's schedule in
+		// events that its replay cannot reproduce.
 		panic(errKilled)
 	}
 	if loc == locNone {
@@ -988,8 +1031,8 @@ func (rt *Runtime) flushBatch() {
 
 // flushBatchFinal delivers the last, partial chunk at the end of a run; a
 // full one was delivered when it filled, and is not delivered again even
-// if an observer panicked on it. There is no thread recover on the
-// scheduler goroutine, so an observer panic is converted here into the
+// if an observer panicked on it. It runs on run's caller after main's
+// recover has returned, so an observer panic is converted here into the
 // same structured error a panic inside a virtual thread produces, stack
 // included, and the explorers report it as an *ExploreError finding
 // either way.

@@ -206,9 +206,9 @@ func New(opts Options) *Checker {
 func (c *Checker) Classifier() *movers.Classifier { return c.cls }
 
 // HintEvents presizes the checker's thread states, and in online mode the
-// classifier's embedded race detector, for a trace of n events
-// (sched.EventsHinted); FeedTrace and Analyze pass the trace's exact
-// length. A no-op once events have been processed.
+// classifier's embedded race detector, for a trace of n events; Analyze
+// passes the trace's exact length. A no-op once events have been
+// processed.
 func (c *Checker) HintEvents(n int) {
 	if n <= 0 || c.stats.Events > 0 {
 		return

@@ -61,11 +61,6 @@ func diffFused(t *testing.T, label string, tr *trace.Trace) {
 func diffWindows(t *testing.T, label string, tr *trace.Trace, n int) {
 	t.Helper()
 	feed := func(observers ...sched.Observer) {
-		for _, o := range observers {
-			if sa, ok := o.(sched.StringsAware); ok {
-				sa.SetStrings(tr.Strings)
-			}
-		}
 		for start := 0; start < tr.Len(); start += n {
 			batch := tr.Events[start:min(start+n, tr.Len())]
 			for _, o := range observers {

@@ -72,8 +72,8 @@ func quickSize(spec workloads.Spec) int {
 // digest golden.
 func digestRow(label string, res *sched.Result) string {
 	sh := fnv.New64a()
-	for _, tid := range res.Schedule {
-		fmt.Fprintf(sh, "%d,", tid)
+	for _, e := range res.Trace.Events {
+		fmt.Fprintf(sh, "%d,", e.Tid)
 	}
 	fmt.Fprintf(sh, "|%v|", res.Choices)
 	lh := fnv.New64a()

@@ -129,7 +129,11 @@ func TestReplayAcrossSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := sched.Run(spec.New(0, 0), sched.Options{Strategy: sched.NewReplay(orig.Schedule), RecordTrace: true})
+			schedule := make([]trace.TID, len(orig.Trace.Events))
+			for i, e := range orig.Trace.Events {
+				schedule[i] = e.Tid
+			}
+			rep, err := sched.Run(spec.New(0, 0), sched.Options{Strategy: sched.NewReplay(schedule), RecordTrace: true})
 			if err != nil {
 				t.Fatal(err)
 			}

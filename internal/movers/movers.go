@@ -283,8 +283,8 @@ func NewWithRaceOnsets(policy Policy, onsets map[uint64]int) *Classifier {
 }
 
 // HintEvents presizes the embedded race detector (online mode) for a trace
-// of n events; a no-op in two-pass mode. core.Checker forwards its own
-// hint here.
+// of n events; a no-op in two-pass mode. core.Checker forwards here the
+// hint that core.Analyze gives it.
 func (c *Classifier) HintEvents(n int) {
 	if c.detector != nil {
 		c.detector.HintEvents(n)

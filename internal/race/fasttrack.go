@@ -152,9 +152,8 @@ type Detector struct {
 func New() *Detector { return &Detector{} }
 
 // HintEvents presizes the thread clocks and sizes the clock arena's first
-// block for a trace of n events (sched.EventsHinted); FeedTrace and
-// Analyze pass the trace's exact length. A no-op once events have been
-// processed.
+// block for a trace of n events; Analyze passes the trace's exact length.
+// A no-op once events have been processed.
 func (d *Detector) HintEvents(n int) {
 	if n <= 0 || d.events > 0 {
 		return

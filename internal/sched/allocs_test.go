@@ -4,12 +4,12 @@ import "testing"
 
 // maxAllocsPerReplay bounds the heap allocations of one replay of
 // TestExploreReplayAllocs's search: the objects a Result keeps (the
-// trace, its string table, the symbols, the final values, the schedule),
-// the prefixes the run's expansion pushes, and the workload's own
-// closures. It read 17.2 when the search began to recycle its runtime,
-// against 61.0 when every replay built its runtime, strategy and location
-// cache afresh.
-const maxAllocsPerReplay = 20
+// trace, its string table, the symbols, the final values), the prefixes
+// the run's expansion pushes, and the workload's own closures. It read
+// 17.2 when the search began to recycle its runtime, against 61.0 when
+// every replay built its runtime, strategy and location cache afresh, and
+// 16.1 once a Result no longer kept a schedule beside its trace.
+const maxAllocsPerReplay = 19
 
 // TestExploreReplayAllocs pins the allocations per replay of an Explore,
 // so that a change that brings back per-replay scratch allocation fails

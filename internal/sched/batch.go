@@ -15,23 +15,13 @@ import (
 // cache-resident.
 const DefaultBatchSize = 4096
 
-// FeedTrace streams a recorded trace through observers exactly once:
-// each observer first receives the trace's string table (StringsAware) and
-// its exact event count (EventsHinted), then the events as zero-copy
-// windows of DefaultBatchSize events.
+// FeedTrace streams a recorded trace through observers exactly once, as
+// zero-copy windows of DefaultBatchSize events.
 //
 // This is the offline half of the fused pipeline: one pass over the decoded
 // trace fans out to any number of analyses, so N checkers cost one trace
 // scan instead of N (see harness.FusedRunner).
 func FeedTrace(tr *trace.Trace, observers ...Observer) {
-	for _, o := range observers {
-		if sa, ok := o.(StringsAware); ok {
-			sa.SetStrings(tr.Strings)
-		}
-		if eh, ok := o.(EventsHinted); ok {
-			eh.HintEvents(tr.Len())
-		}
-	}
 	// When the flight recorder is on, each ObserveBatch gets its own span
 	// named after the checker (FlightNamed) on an acquired lane — FeedTrace
 	// runs concurrently from pool workers, so lanes cannot be shared.

@@ -8,15 +8,11 @@ import (
 	"repro/internal/trace"
 )
 
-// batchRecorder implements Observer plus the StringsAware/EventsHinted
-// hooks, recording everything it sees so tests can assert the delivery
-// contract.
+// batchRecorder is an Observer that records everything it sees, so tests
+// can assert the delivery contract.
 type batchRecorder struct {
 	events     []trace.Event
 	batchSizes []int
-	hints      []int // HintEvents values received
-	hintLate   bool  // a hint arrived after the first batch
-	strings    *trace.Strings
 	panicAt    int // panic when this many events have been seen (0 = never)
 }
 
@@ -28,15 +24,6 @@ func (r *batchRecorder) ObserveBatch(batch []trace.Event) {
 		panic("batchRecorder: injected failure")
 	}
 }
-
-func (r *batchRecorder) HintEvents(n int) {
-	if len(r.batchSizes) > 0 {
-		r.hintLate = true
-	}
-	r.hints = append(r.hints, n)
-}
-
-func (r *batchRecorder) SetStrings(s *trace.Strings) { r.strings = s }
 
 func sameEvents(t *testing.T, got, want []trace.Event, label string) {
 	t.Helper()
@@ -92,9 +79,6 @@ func TestBatchDeliveryMatchesPerEvent(t *testing.T) {
 	}
 	if *batched != perEvent {
 		t.Fatalf("batched counts %+v, per-event counts %+v", *batched, perEvent)
-	}
-	if br.strings == nil {
-		t.Fatal("batch observer never received the string table")
 	}
 }
 
@@ -192,29 +176,8 @@ func TestBatchObserverPanicFinalFlush(t *testing.T) {
 	}
 }
 
-// TestBatchHintBeforeFirstBatch: FeedTrace hands an EventsHinted observer
-// the trace's exact length once, before any events.
-func TestBatchHintBeforeFirstBatch(t *testing.T) {
-	res, err := Run(longCounter(), Options{Strategy: &RoundRobin{Quantum: 5}, RecordTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	br := &batchRecorder{}
-	FeedTrace(res.Trace, br)
-	if br.hintLate {
-		t.Fatal("HintEvents arrived after the first batch")
-	}
-	if len(br.hints) != 1 || br.hints[0] != res.Trace.Len() {
-		t.Fatalf("hints = %v, want one hint of %d", br.hints, res.Trace.Len())
-	}
-	if len(br.events) != res.Events {
-		t.Fatalf("observed %d events, want %d", len(br.events), res.Events)
-	}
-}
-
 // TestFeedTrace: the offline fan-out delivers a recorded trace once to
-// every observer as zero-copy windows of DefaultBatchSize events, with the
-// string table up front.
+// every observer as zero-copy windows of DefaultBatchSize events.
 func TestFeedTrace(t *testing.T) {
 	res, err := Run(longCounter(), Options{Strategy: &RoundRobin{Quantum: 2}, RecordTrace: true})
 	if err != nil {
@@ -226,7 +189,4 @@ func TestFeedTrace(t *testing.T) {
 	sameEvents(t, br.events, tr.Events, "FeedTrace")
 	sameEvents(t, other.events, tr.Events, "FeedTrace second observer")
 	checkBatches(t, br.batchSizes, tr.Len(), "FeedTrace")
-	if br.strings != tr.Strings {
-		t.Fatal("FeedTrace did not hand the trace's string table to the observer")
-	}
 }

@@ -71,8 +71,8 @@ type ExploreReport struct {
 var ErrCancelled = errors.New("sched: run cancelled")
 
 // ExploreError is a panic recovered during one schedule's replay — in the
-// replay driver itself (observer factory, strategy) or inside a virtual
-// thread (workload body, observer). It is handed to Visit as the run's
+// replay's own code (strategy, scheduler loop) or inside a virtual thread
+// (workload body). It is handed to Visit as the run's
 // error, so a crashing schedule is a reported finding, not a process
 // abort, and because replays are deterministic it appears in the same
 // visit slot on every search.

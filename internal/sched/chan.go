@@ -104,7 +104,7 @@ func (rt *Runtime) offerSend(t *thread, id uint64, val int64) (immediate bool) {
 	} else {
 		ch.pending = append(ch.pending, pendingSend{tid: t.id, val: val})
 	}
-	rt.wakeChanRecvWaiters(id)
+	rt.wake(waitChanRecv, id)
 	rt.wakeChanSelectWaiters(id)
 	return immediate
 }
@@ -144,22 +144,6 @@ func (rt *Runtime) wakeChanSender(tid trace.TID) {
 	}
 }
 
-func (rt *Runtime) wakeChanRecvWaiters(id uint64) {
-	for _, t := range rt.threads {
-		if t.state == stateBlocked && t.waitOn == waitChanRecv && t.waitID == id {
-			t.state = stateRunnable
-		}
-	}
-}
-
-func (rt *Runtime) wakeChanSendBlocked(id uint64) {
-	for _, t := range rt.threads {
-		if t.state == stateBlocked && t.waitOn == waitChanSend && t.waitID == id {
-			t.state = stateRunnable
-		}
-	}
-}
-
 // wakeChanSelectWaiters unparks every select watching channel id; woken
 // selects re-evaluate readiness and may re-park.
 func (rt *Runtime) wakeChanSelectWaiters(id uint64) {
@@ -174,19 +158,6 @@ func (rt *Runtime) wakeChanSelectWaiters(id uint64) {
 			}
 		}
 	}
-}
-
-// chanRecvWaiterExists reports whether a plain receive is parked on
-// channel id — the readiness condition for an unbuffered send case in
-// select. Parked selects with receive cases do not count: select-to-select
-// rendezvous on unbuffered channels is a documented modeling restriction.
-func (rt *Runtime) chanRecvWaiterExists(id uint64) bool {
-	for _, t := range rt.threads {
-		if t.state == stateBlocked && t.waitOn == waitChanRecv && t.waitID == id {
-			return true
-		}
-	}
-	return false
 }
 
 // Send sends val on c, blocking per Go semantics: immediately completing
@@ -241,8 +212,8 @@ func (x *T) Close(c *Chan) {
 	}
 	rt.chanCloses++
 	ch.closed = true
-	rt.wakeChanRecvWaiters(c.id)
-	rt.wakeChanSendBlocked(c.id)
+	rt.wake(waitChanRecv, c.id)
+	rt.wake(waitChanSend, c.id)
 	rt.wakeChanSelectWaiters(c.id)
 	var pcs [1]uintptr
 	rt.capturePC(&pcs)
@@ -381,7 +352,10 @@ func (rt *Runtime) selectCaseReady(c *SelectCase) bool {
 	if c.Send {
 		// A closed channel makes the send case "ready" — committing it
 		// reproduces Go's send-on-closed panic rather than blocking forever.
-		return ch.closed || len(ch.buf) < ch.cap || rt.chanRecvWaiterExists(c.Ch.id)
+		// An unbuffered send is ready when a plain receive is parked on the
+		// channel; a parked select's receive case does not count, since
+		// select-to-select rendezvous is a documented modeling restriction.
+		return ch.closed || len(ch.buf) < ch.cap || rt.waiting(waitChanRecv, c.Ch.id)
 	}
 	return len(ch.buf) > 0 || (len(ch.pending) > 0 && !ch.closed) || ch.closed
 }

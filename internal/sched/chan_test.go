@@ -265,9 +265,9 @@ func TestSelectChoicePointExplored(t *testing.T) {
 	}
 }
 
-// TestSelectReplayWithChoices: Schedule alone cannot disambiguate a select
-// among simultaneously ready cases; Schedule+Choices must reproduce the
-// run event for event.
+// TestSelectReplayWithChoices: the trace's thread order alone cannot
+// disambiguate a select among simultaneously ready cases; with Choices it
+// must reproduce the run event for event.
 func TestSelectReplayWithChoices(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		orig, err := Run(selectRace(), Options{Strategy: NewRandom(seed), RecordTrace: true})
@@ -278,7 +278,7 @@ func TestSelectReplayWithChoices(t *testing.T) {
 			t.Fatalf("seed %d: select among ready cases must record a choice", seed)
 		}
 		rep, err := Run(selectRace(), Options{
-			Strategy:    NewReplayChoices(orig.Schedule, orig.Choices),
+			Strategy:    NewReplayChoices(tidsOf(orig.Trace), orig.Choices),
 			RecordTrace: true,
 		})
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/sched"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -134,6 +135,16 @@ func digestGenProgram(seed int64) *sched.Program {
 	})
 }
 
+// tidsOf returns the thread of each of tr's events, the schedule that
+// NewReplay and NewReplayChoices take.
+func tidsOf(tr *trace.Trace) []trace.TID {
+	tids := make([]trace.TID, len(tr.Events))
+	for i, e := range tr.Events {
+		tids[i] = e.Tid
+	}
+	return tids
+}
+
 // quickSize shrinks the heavyweight workloads as harness.Config.Quick does.
 func quickSize(spec workloads.Spec) int {
 	if spec.DefaultSize > 8 {
@@ -142,11 +153,12 @@ func quickSize(spec workloads.Spec) int {
 	return 0
 }
 
-// digestRow renders one run as a golden row.
+// digestRow renders one run as a golden row. Its schedule hash is over the
+// thread of each event.
 func digestRow(label string, res *sched.Result, err error) string {
 	sh := fnv.New64a()
-	for _, tid := range res.Schedule {
-		fmt.Fprintf(sh, "%d,", tid)
+	for _, e := range res.Trace.Events {
+		fmt.Fprintf(sh, "%d,", e.Tid)
 	}
 	fmt.Fprintf(sh, "|%v|", res.Choices)
 	lh := fnv.New64a()

@@ -56,12 +56,12 @@ func ExploreDPOR(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 		mExploreDPORScanned.Add(scan.scanned)
 	}()
 	return exploreDFS(p, &opts, "explore-dpor",
-		func(prefix []trace.TID, res *Result, points []ChoicePoint, push func([]trace.TID), ftrack *flight.Track) {
+		func(f frontier, res *Result, points []ChoicePoint, pre []int, push func(frontier), ftrack *flight.Track) {
 			pushed := 0
 			seen.run(points)
-			scan.expand(res, prefix, points, opts.MaxPreemptions, func(dp int, t trace.TID) {
+			scan.expand(res, f.prefix, points, pre, opts.MaxPreemptions, func(dp int, t trace.TID, n int) {
 				if seen.add(dp, t) {
-					push(prefixAt(points, dp, t))
+					push(frontier{prefixAt(points, dp, t), n})
 					pushed++
 				}
 			})
@@ -113,10 +113,8 @@ type dporScan struct {
 	heads    []int32
 	rows     [numFamilies]dense.Table[int32]
 	forkJoin []int32
-	// cands collects one event's flip candidates, and pre the run's running
-	// preemption counts (preemptionPrefix).
+	// cands collects one event's flip candidates.
 	cands []int32
-	pre   []int
 	// frozen and scanned count the events of the search's runs before and
 	// from their frontiers (see expand), for explore.dpor.*.
 	frozen, scanned int64
@@ -426,17 +424,18 @@ func (s *dporScan) candidates(ej trace.Event, kind chainKind, rows int32) []int3
 }
 
 // flip returns the decision point of event i, at which a flip schedules
-// thread t instead, or -1 when the current prefix froze that decision, t
-// was not runnable there or already chosen, or the switch would exceed the
-// preemption bound. pre holds the path's running preemption counts.
-func (s *dporScan) flip(i int32, t trace.TID, prefix []trace.TID, points []ChoicePoint, pre []int, maxPreemptions int) int {
-	dp := int(s.decisionOf[i])
+// thread t instead, and the flipped prefix's preemptions, or dp = -1 when
+// the current prefix froze that decision, t was not runnable there or
+// already chosen, or the switch would exceed the preemption bound. pre
+// holds the path's running preemption counts.
+func (s *dporScan) flip(i int32, t trace.TID, prefix []trace.TID, points []ChoicePoint, pre []int, maxPreemptions int) (dp, n int) {
+	dp = int(s.decisionOf[i])
 	if dp < 0 || dp < len(prefix) {
-		return -1 // decision frozen by the current prefix
+		return -1, 0 // decision frozen by the current prefix
 	}
 	pt := points[dp]
 	if !containsTID(pt.Runnable, t) || t == pt.Chosen {
-		return -1
+		return -1, 0
 	}
 	// Preemption budget: the flip costs one if the previously running
 	// thread was still runnable.
@@ -445,17 +444,18 @@ func (s *dporScan) flip(i int32, t trace.TID, prefix []trace.TID, points []Choic
 		cost = 1
 	}
 	if pre[dp]+cost > maxPreemptions {
-		return -1
+		return -1, 0
 	}
-	return dp
+	return dp, pre[dp] + cost
 }
 
 // expand offers the backtracking prefixes of one run, each as the decision
-// point dp it changes and the thread, or select case, t it decides there
-// (the prefix is prefixAt(points, dp, t)): a flip at each unfrozen
-// decision point where a cross-thread conflict justifies one, then every
-// alternative case of every unfrozen select decision.
-func (s *dporScan) expand(res *Result, prefix []trace.TID, points []ChoicePoint, maxPreemptions int, offer func(dp int, t trace.TID)) {
+// point dp it changes, the thread, or select case, t it decides there (the
+// prefix is prefixAt(points, dp, t)) and the prefix's preemptions n: a flip
+// at each unfrozen decision point where a cross-thread conflict justifies
+// one, then every alternative case of every unfrozen select decision. pre
+// holds the run's running preemption counts from len(prefix) on.
+func (s *dporScan) expand(res *Result, prefix []trace.TID, points []ChoicePoint, pre []int, maxPreemptions int, offer func(dp int, t trace.TID, n int)) {
 	if res == nil || res.Trace == nil {
 		return
 	}
@@ -491,11 +491,6 @@ func (s *dporScan) expand(res *Result, prefix []trace.TID, points []ChoicePoint,
 			s.decisionOf[pt.EventIdx] = int32(pi)
 		}
 	}
-	// Running preemption counts, shared by every flip considered below
-	// (recounting per pair was quadratic in trace depth).
-	s.pre = preemptionPrefix(s.pre, points)
-	pre := s.pre
-
 	// For each event j, consider the latest earlier conflicting events
 	// of each other thread: reversing such a pair is the only
 	// reordering that can change behaviour locally. Two predecessors
@@ -508,8 +503,8 @@ func (s *dporScan) expand(res *Result, prefix []trace.TID, points []ChoicePoint,
 		kind := chainOf(ej.Op)
 		rows := s.rowsOf(kind, ej)
 		for _, i := range s.candidates(ej, kind, rows) {
-			if dp := s.flip(i, ej.Tid, prefix, points, pre, maxPreemptions); dp >= 0 {
-				offer(dp, ej.Tid)
+			if dp, n := s.flip(i, ej.Tid, prefix, points, pre, maxPreemptions); dp >= 0 {
+				offer(dp, ej.Tid, n)
 			}
 		}
 		s.link(ej, j, kind, rows)
@@ -526,7 +521,7 @@ func (s *dporScan) expand(res *Result, prefix []trace.TID, points []ChoicePoint,
 		}
 		for _, alt := range pt.Runnable {
 			if alt != pt.Chosen {
-				offer(pi, alt)
+				offer(pi, alt, pre[pi])
 			}
 		}
 	}

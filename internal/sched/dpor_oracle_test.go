@@ -33,7 +33,7 @@ func expandDPOROracle(res *Result, prefix []trace.TID, points []ChoicePoint, max
 	}
 	// Running preemption counts, shared by every flip considered below
 	// (recounting per pair was quadratic in trace depth).
-	pre := preemptionPrefix(nil, points)
+	pre := preemptionPrefix(nil, points, 0, 0)
 
 	// For each event j, consider the latest earlier conflicting events
 	// of each other thread: reversing such a pair is the only
@@ -111,17 +111,17 @@ func exploreDPORRuns(p *Program, opts ExploreOptions, observe func(run DPORRun, 
 	var seen prefixSet
 	var scan dporScan
 	return exploreDFS(p, &opts, "explore-dpor",
-		func(prefix []trace.TID, res *Result, points []ChoicePoint, push func([]trace.TID), _ *flight.Track) {
+		func(f frontier, res *Result, points []ChoicePoint, pre []int, push func(frontier), _ *flight.Track) {
 			var offered [][]trace.TID
 			seen.run(points)
-			scan.expand(res, prefix, points, opts.MaxPreemptions, func(dp int, t trace.TID) {
+			scan.expand(res, f.prefix, points, pre, opts.MaxPreemptions, func(dp int, t trace.TID, n int) {
 				np := prefixAt(points, dp, t)
 				offered = append(offered, np)
 				if seen.add(dp, t) {
-					push(np)
+					push(frontier{np, n})
 				}
 			})
-			observe(DPORRun{prefix, res, points}, offered)
+			observe(DPORRun{f, res, points}, offered)
 		})
 }
 
@@ -208,7 +208,7 @@ func TestConflictIndexSound(t *testing.T) {
 
 // DPORRun is what one run of an ExploreDPOR search hands its expansion.
 type DPORRun struct {
-	prefix []trace.TID
+	frontier
 	res    *Result
 	points []ChoicePoint
 }
@@ -235,12 +235,14 @@ func RecordDPOR(p *Program, opts ExploreOptions) ([]DPORRun, error) {
 }
 
 // ExpandDPOR expands every recorded run with one scan, as a search does,
-// and returns the number of prefixes offered.
+// preemption sweep included, and returns the number of prefixes offered.
 func ExpandDPOR(runs []DPORRun, maxPreemptions int) int {
 	var scan dporScan
+	var pre []int
 	n := 0
 	for _, r := range runs {
-		scan.expand(r.res, r.prefix, r.points, maxPreemptions, func(int, trace.TID) { n++ })
+		pre = preemptionPrefix(pre, r.points, len(r.prefix), r.pre)
+		scan.expand(r.res, r.prefix, r.points, pre, maxPreemptions, func(int, trace.TID, int) { n++ })
 	}
 	return n
 }

@@ -14,7 +14,8 @@ import (
 
 // dporGolden pins ExploreDPOR's visit sequence, one row per search: the
 // report's status, runs and states, and a hash of every visited run's
-// Schedule and Choices (or error text), in visit order. The searches are
+// schedule (its events' threads) and Choices (or error text), in visit
+// order. The searches are
 // the dpor benchmark items (every workload but dporGoldenExcluded) at 3
 // threads, size 1, bound 2 and a 20000-run cap, and the digest's generated
 // programs at bounds 0-2 with a small run cap.
@@ -36,19 +37,21 @@ const genGoldenCap = 30
 
 // searchRow runs one search with explore and returns its golden row: the
 // report's status, runs, states and abandoned count, and a hash of every
-// visited run's Schedule and Choices (or error text), in visit order.
+// visited run's schedule (its events' threads) and Choices (or error
+// text), in visit order.
 func searchRow(t *testing.T, explore func(*sched.Program, sched.ExploreOptions) (*sched.ExploreReport, error), label string, p *sched.Program, bound, maxRuns int) string {
 	t.Helper()
 	h := fnv.New64a()
 	rep, err := explore(p, sched.ExploreOptions{
 		MaxRuns:        maxRuns,
 		MaxPreemptions: bound,
+		RecordTrace:    true,
 		Visit: func(res *sched.Result, err error) bool {
 			if err != nil {
 				fmt.Fprintf(h, "err=%q;", err.Error())
 				return true
 			}
-			fmt.Fprintf(h, "%v|%v;", res.Schedule, res.Choices)
+			fmt.Fprintf(h, "%v|%v;", tidsOf(res.Trace), res.Choices)
 			return true
 		},
 	})

@@ -28,9 +28,6 @@ type ExploreOptions struct {
 	MaxPreemptions int
 	// RecordTrace forwards to Options.RecordTrace for each run.
 	RecordTrace bool
-	// Observers are fresh-per-run observer factories (checkers keep state,
-	// so each run needs new instances). It is called once per replay.
-	Observers func() []Observer
 	// Visit is called after every run with the result; returning false
 	// stops the exploration early. Required.
 	Visit func(res *Result, err error) bool
@@ -53,19 +50,27 @@ func Explore(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 	if opts.Visit == nil {
 		return nil, fmt.Errorf("sched: ExploreOptions.Visit is required")
 	}
-	var pre []int
 	return exploreDFS(p, &opts, "explore",
-		func(prefix []trace.TID, _ *Result, points []ChoicePoint, push func([]trace.TID), _ *flight.Track) {
-			pre = preemptionPrefix(pre, points)
-			expandPrefixes(points, pre, len(prefix), opts.MaxPreemptions, push)
+		func(f frontier, _ *Result, points []ChoicePoint, pre []int, push func(frontier), _ *flight.Track) {
+			expandPrefixes(points, pre, len(f.prefix), opts.MaxPreemptions, push)
 		})
 }
 
-// expandFunc pushes the forced-decision prefixes to visit after one run:
-// prefix is the prefix the run replayed, res and points its result and
-// choice points, and ftrack the search's flight track (nil when not
-// recording).
-type expandFunc func(prefix []trace.TID, res *Result, points []ChoicePoint, push func([]trace.TID), ftrack *flight.Track)
+// frontier is an entry of the search's stack: a forced-decision prefix to
+// replay and the preemptions it makes, preemptionsIn of its replay's
+// points[:len(prefix)]. The expansion that pushes it knows that count (the
+// running count at the branch point plus the branch's cost), so a run's
+// preemptions are counted only past its prefix.
+type frontier struct {
+	prefix []trace.TID
+	pre    int
+}
+
+// expandFunc pushes the frontier entries to visit after one run: f is the
+// entry the run replayed, res and points its result and choice points, pre
+// their running preemption counts from len(f.prefix) on (preemptionPrefix),
+// and ftrack the search's flight track (nil when not recording).
+type expandFunc func(f frontier, res *Result, points []ChoicePoint, pre []int, push func(frontier), ftrack *flight.Track)
 
 // exploreDFS is the sequential depth-first search loop of Explore and
 // ExploreDPOR: budget and run-cap checks, one panic-isolated replay per
@@ -99,9 +104,9 @@ func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc
 				flight.A("runs", int64(rep.Runs)), flight.A("states", rep.States))
 		}()
 	}
-	// Each stack entry is a forced decision prefix.
-	stack := [][]trace.TID{nil}
-	push := func(np []trace.TID) { stack = append(stack, np) }
+	stack := []frontier{{}}
+	push := func(f frontier) { stack = append(stack, f) }
+	var pre []int
 	for len(stack) > 0 {
 		if st := bud.Cutoff(); st != "" {
 			rep.Status = st
@@ -113,14 +118,14 @@ func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc
 			ftrack.Instant(flight.CatSched, "budget", string(StatusBudget), flight.A("runs", int64(rep.Runs)))
 			break
 		}
-		prefix := stack[len(stack)-1]
+		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 
 		var runSpan flight.Span
 		if ftrack != nil {
-			runSpan = ftrack.Begin(flight.CatSched, "schedule", exSpan.ID(), flight.A("depth", int64(len(prefix))))
+			runSpan = ftrack.Begin(flight.CatSched, "schedule", exSpan.ID(), flight.A("depth", int64(len(f.prefix))))
 		}
-		res, points, err := r.replayPrefix(p, opts, bud.RunContext(), prefix)
+		res, points, err := r.replayPrefix(p, opts, bud.RunContext(), f.prefix)
 		if ftrack != nil {
 			EndRunSpan(runSpan, res, err)
 		}
@@ -149,7 +154,8 @@ func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc
 		}
 
 		t0 := time.Now()
-		expand(prefix, res, points, push, ftrack)
+		pre = preemptionPrefix(pre, points, len(f.prefix), f.pre)
+		expand(f, res, points, pre, push, ftrack)
 		expandNs += time.Since(t0).Nanoseconds()
 		expands++
 		mExploreFrontier.SetMax(int64(len(stack)))
@@ -172,12 +178,12 @@ func newReplayer() *replayer {
 }
 
 // replayPrefix executes one guided run of prefix with panic isolation: a panic
-// anywhere in the replay — the observer factory, the strategy, the
-// scheduler loop, or (via the runtime's own recover) a virtual thread —
-// becomes an *ExploreError, so a crashing schedule is a deterministic
-// finding instead of a process abort. ctx, when non-nil, aborts the run
-// cooperatively with an error wrapping ErrCancelled. The choice points it
-// returns are valid until the next replay.
+// anywhere in the replay — the strategy, the scheduler loop, or (via the
+// runtime's own recover) a virtual thread — becomes an *ExploreError, so a
+// crashing schedule is a deterministic finding instead of a process abort.
+// ctx, when non-nil, aborts the run cooperatively with an error wrapping
+// ErrCancelled. The choice points it returns are valid until the next
+// replay.
 func (r *replayer) replayPrefix(p *Program, opts *ExploreOptions, ctx context.Context, prefix []trace.TID) (res *Result, points []ChoicePoint, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -187,11 +193,7 @@ func (r *replayer) replayPrefix(p *Program, opts *ExploreOptions, ctx context.Co
 		}
 	}()
 	r.guided.Prefix = prefix
-	ro := Options{Strategy: &r.guided, RecordTrace: opts.RecordTrace, Ctx: ctx}
-	if opts.Observers != nil {
-		ro.Observers = opts.Observers()
-	}
-	res, err = r.rt.run(p, ro)
+	res, err = r.rt.run(p, Options{Strategy: &r.guided, RecordTrace: opts.RecordTrace, Ctx: ctx})
 	var tp *runPanic
 	if errors.As(err, &tp) {
 		err = &ExploreError{Prefix: prefix, Panic: tp.val, Stack: tp.stack}
@@ -202,11 +204,11 @@ func (r *replayer) replayPrefix(p *Program, opts *ExploreOptions, ctx context.Co
 
 // expandPrefixes pushes the alternative forced-decision prefixes branching
 // off points[prefixLen:], in the DFS expansion order (deepest decision
-// first, so the search explores nearby schedules before distant ones).
-// The preemption budget is read from pre, the path's running preemption
-// counts (preemptionPrefix), instead of recounting points[:i] per
-// decision, which was quadratic in trace depth.
-func expandPrefixes(points []ChoicePoint, pre []int, prefixLen, maxPreemptions int, push func([]trace.TID)) {
+// first, so the search explores nearby schedules before distant ones),
+// each with its preemption count. The preemption budget is read from pre,
+// the path's running preemption counts (preemptionPrefix), instead of
+// recounting points[:i] per decision, which was quadratic in trace depth.
+func expandPrefixes(points []ChoicePoint, pre []int, prefixLen, maxPreemptions int, push func(frontier)) {
 	for i := len(points) - 1; i >= prefixLen; i-- {
 		pt := points[i]
 		used := pre[i]
@@ -221,7 +223,7 @@ func expandPrefixes(points []ChoicePoint, pre []int, prefixLen, maxPreemptions i
 			if used+cost > maxPreemptions {
 				continue
 			}
-			push(prefixAt(points, i, alt))
+			push(frontier{prefixAt(points, i, alt), used + cost})
 		}
 	}
 }
@@ -238,12 +240,16 @@ func prefixAt(points []ChoicePoint, dp int, t trace.TID) []trace.TID {
 }
 
 // preemptionPrefix returns the running preemption counts of a decision-point
-// path: out[i] = preemptionsIn(points[:i]), computed in one linear sweep
-// into out's array when it is large enough.
-func preemptionPrefix(out []int, points []ChoicePoint) []int {
-	out = resized(out, len(points)+1)
-	out[0] = 0
-	for i, pt := range points {
+// path from point from on, given base = preemptionsIn(points[:from]):
+// out[i] = preemptionsIn(points[:i]) for from <= i <= len(points), computed
+// in one linear sweep into out's array when it is large enough. Earlier
+// entries are left unset, and a path shorter than from (a replay that
+// diverged inside its prefix) has no counts to read.
+func preemptionPrefix(out []int, points []ChoicePoint, from, base int) []int {
+	out = resized(out, max(from, len(points))+1)
+	out[from] = base
+	for i := from; i < len(points); i++ {
+		pt := points[i]
 		cost := 0
 		if pt.Current >= 0 && containsTID(pt.Runnable, pt.Current) && pt.Chosen != pt.Current {
 			cost = 1

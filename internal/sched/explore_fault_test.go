@@ -5,46 +5,46 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/trace"
 )
 
-// schedulePanicObserver crashes on schedules that run the forked thread
-// early: it panics upon seeing the second T1 event while fewer than three
-// T0 events have been observed. The decision depends only on the event
-// stream, so it is a deterministic function of the schedule — exactly the
-// kind of input-dependent checker crash the explorer must isolate.
-// These runs are shorter than the default batch, so the panic fires in the
-// final flush on run's caller; the tests below pin that it is still
-// reported as a panic.
-type schedulePanicObserver struct {
-	t0, t1 int
-}
-
-func (o *schedulePanicObserver) ObserveBatch(batch []trace.Event) {
-	for _, e := range batch {
-		switch e.Tid {
-		case 0:
-			o.t0++
-		case 1:
-			o.t1++
-			if o.t1 == 2 && o.t0 < 3 {
-				panic("observer crashed on this schedule")
+// earlyForkPanics is incrementers with a forked thread that crashes on
+// the schedules that run it early: it panics where its second event, the
+// read after its begin, would come before main's third (begin, fork,
+// read). main notes its read in plain Go state just before making it,
+// with no scheduling point between, and one virtual thread runs at a
+// time, so the crash is a deterministic function of the schedule —
+// exactly the kind of input-dependent crash the explorer must isolate.
+func earlyForkPanics() *Program {
+	p := NewProgram("early-fork-panics")
+	x := p.Var("x")
+	var mainRead bool
+	p.SetMain(func(t *T) {
+		mainRead = false
+		h := t.Fork("w", func(t *T) {
+			if !mainRead {
+				panic("w ran before main's read")
 			}
-		}
-	}
+			v := t.Read(x)
+			t.Write(x, v+1)
+		})
+		mainRead = true
+		v := t.Read(x)
+		t.Write(x, v+1)
+		t.Join(h)
+	})
+	return p
 }
 
 // TestExplorePanickingObserver: a crashing schedule surfaces as an
 // *ExploreError finding, in the same visit slot on every search, and the
-// search still completes.
+// search still completes. The name is kept from when the crash was a
+// per-replay observer's; earlyForkPanics crashes on the schedules it did.
 func TestExplorePanickingObserver(t *testing.T) {
 	run := func() ([]string, *ExploreReport) {
 		var log []string
-		rep, err := Explore(incrementers(), ExploreOptions{
+		rep, err := Explore(earlyForkPanics(), ExploreOptions{
 			MaxRuns:        4000,
 			MaxPreemptions: 2,
-			Observers:      func() []Observer { return []Observer{&schedulePanicObserver{}} },
 			Visit: func(res *Result, err error) bool {
 				if err != nil {
 					log = append(log, "err:"+err.Error())
@@ -61,7 +61,7 @@ func TestExplorePanickingObserver(t *testing.T) {
 	}
 	log, rep := run()
 	if rep.Panics == 0 {
-		t.Fatal("no schedule triggered the observer panic; the fixture is broken")
+		t.Fatal("no schedule triggered the thread's panic; the fixture is broken")
 	}
 	if rep.Panics >= rep.Runs {
 		t.Fatalf("every run panicked (%d of %d); fixture should mix crashing and clean schedules",
@@ -85,10 +85,9 @@ func TestExplorePanickingObserver(t *testing.T) {
 // replay carries the reproducing prefix and a captured stack.
 func TestExplorePanicErrorShape(t *testing.T) {
 	var got *ExploreError
-	_, err := Explore(incrementers(), ExploreOptions{
+	_, err := Explore(earlyForkPanics(), ExploreOptions{
 		MaxRuns:        4000,
 		MaxPreemptions: 2,
-		Observers:      func() []Observer { return []Observer{&schedulePanicObserver{}} },
 		Visit: func(res *Result, err error) bool {
 			if pe, ok := err.(*ExploreError); ok && got == nil { //nolint:errorlint
 				got = pe
@@ -105,42 +104,15 @@ func TestExplorePanicErrorShape(t *testing.T) {
 	if len(got.Stack) == 0 {
 		t.Error("ExploreError.Stack is empty")
 	}
-	if !strings.Contains(got.Error(), "observer crashed") {
+	if !strings.Contains(got.Error(), "ran before main's read") {
 		t.Errorf("Error() = %q, want the panic value in it", got.Error())
 	}
 	// The prefix must reproduce the crash deterministically.
 	r := newReplayer()
-	_, _, rerr := r.replayPrefix(incrementers(), &ExploreOptions{
-		Observers: func() []Observer { return []Observer{&schedulePanicObserver{}} },
-	}, nil, got.Prefix)
+	_, _, rerr := r.replayPrefix(earlyForkPanics(), &ExploreOptions{}, nil, got.Prefix)
 	r.rt.close()
 	if _, ok := rerr.(*ExploreError); !ok { //nolint:errorlint
 		t.Fatalf("replaying the crash prefix gave %v, want *ExploreError", rerr)
-	}
-}
-
-// TestExploreObserverFactoryPanic: a panic in the observer factory, which
-// runs before the virtual program starts, is a finding too.
-func TestExploreObserverFactoryPanic(t *testing.T) {
-	rep, err := Explore(incrementers(), ExploreOptions{
-		MaxRuns:        100,
-		MaxPreemptions: 2,
-		Observers:      func() []Observer { panic("factory exploded") },
-		Visit: func(res *Result, err error) bool {
-			if _, ok := err.(*ExploreError); !ok { //nolint:errorlint
-				t.Errorf("visit err = %v, want *ExploreError", err)
-			}
-			return true
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Runs != 1 || rep.Panics != 1 {
-		t.Fatalf("report %+v, want 1 run, 1 panic", rep)
-	}
-	if rep.Status != StatusPanic {
-		t.Fatalf("status = %s, want %s", rep.Status, StatusPanic)
 	}
 }
 

@@ -373,15 +373,11 @@ func TestExploreNoGoroutineLeak(t *testing.T) {
 					return true
 				}}
 		}},
+		// Named for the per-replay observer that once crashed on the
+		// schedules on which earlyForkPanics's worker does.
 		{"observer-panic", func(*testing.T) ExploreOptions {
 			return ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2,
-				Observers: func() []Observer { return []Observer{&schedulePanicObserver{}} },
-				Visit:     func(*Result, error) bool { return true }}
-		}},
-		{"factory-panic", func(*testing.T) ExploreOptions {
-			return ExploreOptions{MaxRuns: 100, MaxPreemptions: 2,
-				Observers: func() []Observer { panic("factory exploded") },
-				Visit:     func(*Result, error) bool { return true }}
+				Visit: func(*Result, error) bool { return true }}
 		}},
 		{"thread-panic", func(*testing.T) ExploreOptions {
 			return ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2,
@@ -404,6 +400,8 @@ func TestExploreNoGoroutineLeak(t *testing.T) {
 			prog = func() *Program { return counterProgram(2, 60, true) }
 		case "thread-panic":
 			prog = panickyIncrementers
+		case "observer-panic":
+			prog = earlyForkPanics
 		case "lock-order-deadlock":
 			prog = lockOrderDeadlock
 		case "deadline-in-lock":
@@ -425,7 +423,7 @@ func TestExploreNoGoroutineLeak(t *testing.T) {
 					t.Fatal(err)
 				}
 				switch {
-				case sc.name == "thread-panic" && rep.Panics == 0:
+				case (sc.name == "thread-panic" || sc.name == "observer-panic") && rep.Panics == 0:
 					t.Fatal("no thread panicked")
 				case sc.name == "lock-order-deadlock" && deadlocks == 0:
 					t.Fatal("no schedule deadlocked")

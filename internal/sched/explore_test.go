@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs/flight"
 	"repro/internal/trace"
 )
 
@@ -25,7 +26,7 @@ func visitLog(t *testing.T, explore func(*Program, ExploreOptions) (*ExploreRepo
 		case err != nil:
 			log = append(log, "err:"+err.Error())
 		default:
-			log = append(log, fmt.Sprintf("%v|%v", res.FinalVars, res.Schedule))
+			log = append(log, fmt.Sprintf("%v|%v", res.FinalVars, tidsOf(res.Trace)))
 		}
 		return true
 	}
@@ -96,33 +97,30 @@ func TestExploreParallelMaxRuns(t *testing.T) {
 	}
 }
 
-// TestExploreParallelObserverFactory: a complete search calls the
-// observer factory exactly once per visited run.
-func TestExploreParallelObserverFactory(t *testing.T) {
-	calls := 0
-	rep, err := Explore(twoWriters(), ExploreOptions{
-		MaxRuns:        100,
-		MaxPreemptions: 1,
-		Observers: func() []Observer {
-			calls++
-			return []Observer{&CountObserver{}}
-		},
-		Visit: func(res *Result, err error) bool { return err == nil },
-	})
-	if err != nil {
-		t.Fatal(err)
+// ExploreCarried runs Explore's search, or with dpor ExploreDPOR's, and
+// calls bad for every replay whose carried preemption count, which the
+// expansion that pushed its prefix computed, is not preemptionsIn of the
+// replay's points[:len(prefix)].
+func ExploreCarried(p *Program, opts ExploreOptions, dpor bool, bad func(prefix []trace.TID, carried, counted int)) (*ExploreReport, error) {
+	check := func(f frontier, points []ChoicePoint) {
+		if n := preemptionsIn(points[:len(f.prefix)]); n != f.pre {
+			bad(f.prefix, f.pre, n)
+		}
 	}
-	if rep.Status != StatusComplete || rep.Runs < 2 {
-		t.Fatalf("report %+v, want a complete search of several runs", rep)
+	if dpor {
+		return exploreDPORRuns(p, opts, func(r DPORRun, _ [][]trace.TID) { check(r.frontier, r.points) })
 	}
-	if calls != rep.Runs {
-		t.Fatalf("observer factory called %d times for %d runs", calls, rep.Runs)
-	}
+	return exploreDFS(p, &opts, "explore",
+		func(f frontier, _ *Result, points []ChoicePoint, pre []int, push func(frontier), _ *flight.Track) {
+			check(f, points)
+			expandPrefixes(points, pre, len(f.prefix), opts.MaxPreemptions, push)
+		})
 }
 
 // TestPreemptionPrefixMatchesNaive is the regression test for the
 // incremental preemption counting: on a deep synthetic decision path the
-// prefix sums must agree with the quadratic recount at every index.
+// running counts, swept from the start or from a later point given the
+// count there, must agree with the quadratic recount at every index.
 func TestPreemptionPrefixMatchesNaive(t *testing.T) {
 	points := make([]ChoicePoint, 2000)
 	for i := range points {
@@ -138,10 +136,13 @@ func TestPreemptionPrefixMatchesNaive(t *testing.T) {
 			EventIdx: i,
 		}
 	}
-	pre := preemptionPrefix(nil, points)
-	for i := 0; i <= len(points); i++ {
-		if want := preemptionsIn(points[:i]); pre[i] != want {
-			t.Fatalf("prefix[%d] = %d, naive = %d", i, pre[i], want)
+	var pre []int
+	for _, from := range []int{0, 1, 17, 1000, len(points)} {
+		pre = preemptionPrefix(pre, points, from, preemptionsIn(points[:from]))
+		for i := from; i <= len(points); i++ {
+			if want := preemptionsIn(points[:i]); pre[i] != want {
+				t.Fatalf("from %d: prefix[%d] = %d, naive = %d", from, i, pre[i], want)
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sched"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -69,6 +70,41 @@ func TestExploreParallelBitIdentical(t *testing.T) {
 		t.Run(g, func(t *testing.T) {
 			compareRows(t, rowsIn(got, g), rowsIn(want, g))
 		})
+	}
+}
+
+// TestCarriedPreemptionsMatchReplays: every prefix on a search's stack
+// carries its preemption count, which the expansion that pushed it
+// computed, so that a run's counts are swept only past its prefix. On
+// explore.golden's certify-item and generated-program searches, under
+// Explore's expansion and ExploreDPOR's, each carried count must equal a
+// recount over its replay's choice points.
+func TestCarriedPreemptionsMatchReplays(t *testing.T) {
+	search := func(label string, p *sched.Program, bound, maxRuns int) {
+		for _, dpor := range []bool{false, true} {
+			bad := 0
+			_, err := sched.ExploreCarried(p, sched.ExploreOptions{
+				MaxRuns:        maxRuns,
+				MaxPreemptions: bound,
+				Visit:          func(*sched.Result, error) bool { return true },
+			}, dpor, func(prefix []trace.TID, carried, counted int) {
+				if bad++; bad <= 3 {
+					t.Errorf("%s (dpor %v): prefix %v carried %d preemptions, its replay made %d", label, dpor, prefix, carried, counted)
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s (dpor %v): %v", label, dpor, err)
+			}
+		}
+	}
+	for _, name := range certifyGoldenItems {
+		spec, _ := workloads.Get(name)
+		search("workload/"+name, spec.New(2, 1), 2, 20000)
+	}
+	for seed := int64(0); seed < digestGenSeeds; seed++ {
+		for bound := 0; bound <= 2; bound++ {
+			search(fmt.Sprintf("gen/%d/bound=%d", seed, bound), digestGenProgram(seed), bound, genGoldenCap)
+		}
 	}
 }
 

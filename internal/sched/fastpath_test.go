@@ -87,7 +87,7 @@ func TestLocationCacheInliningCorrectness(t *testing.T) {
 // same per-run cache misses, and the warm run adds no table entry. Runs
 // that fill an empty table concurrently agree with them too.
 func TestWarmSymbolTableKeepsTraces(t *testing.T) {
-	first, err := Run(counterProgram(3, 4, true), Options{Strategy: NewRandom(7)})
+	first, err := Run(counterProgram(3, 4, true), Options{Strategy: NewRandom(7), RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestWarmSymbolTableKeepsTraces(t *testing.T) {
 	// may run on any goroutine, so it returns errors instead of failing.
 	replay := func() (*Result, []byte, error) {
 		res, err := Run(counterProgram(3, 4, true), Options{
-			Strategy:    NewReplayChoices(first.Schedule, first.Choices),
+			Strategy:    NewReplayChoices(tidsOf(first.Trace), first.Choices),
 			RecordTrace: true,
 		})
 		if err != nil {
@@ -202,9 +202,8 @@ func TestHandoffBudgetSemantics(t *testing.T) {
 	if err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
 	}
-	if res.Events != 500 || len(res.Schedule) != 500 || res.Trace.Len() != 500 {
-		t.Fatalf("events %d, schedule %d, trace %d; want 500/500/500",
-			res.Events, len(res.Schedule), res.Trace.Len())
+	if res.Events != 500 || res.Trace.Len() != 500 {
+		t.Fatalf("events %d, trace %d; want 500/500", res.Events, res.Trace.Len())
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -217,9 +216,8 @@ func TestHandoffBudgetSemantics(t *testing.T) {
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
-	if res.Events != 1023 || len(res.Schedule) != 1023 || res.Trace.Len() != 1023 {
-		t.Fatalf("cancelled run: events %d, schedule %d, trace %d; want 1023/1023/1023",
-			res.Events, len(res.Schedule), res.Trace.Len())
+	if res.Events != 1023 || res.Trace.Len() != 1023 {
+		t.Fatalf("cancelled run: events %d, trace %d; want 1023/1023", res.Events, res.Trace.Len())
 	}
 }
 

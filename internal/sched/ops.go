@@ -147,7 +147,7 @@ func (x *T) WgAdd(w *WaitGroup, delta int64) {
 	rt.capturePC(&pcs)
 	rt.emitPC(x.t, trace.OpVolWrite, w.v.ID(), pcs[0])
 	if val == 0 {
-		rt.wakeGroupWaiters(w.v.id)
+		rt.wake(waitGroup, w.v.id)
 	}
 }
 
@@ -202,7 +202,7 @@ func (x *T) Release(m *Mutex) {
 	ms.depth--
 	if ms.depth == 0 {
 		ms.owner = -1
-		rt.wakeLockWaiters(m.id)
+		rt.wake(waitLock, m.id)
 	}
 	var pcs [1]uintptr
 	rt.capturePC(&pcs)
@@ -245,7 +245,7 @@ func (x *T) Wait(c *Cond) {
 	x.t.signaled = false
 	ms.owner = -1
 	ms.depth = 0
-	rt.wakeLockWaiters(m.id)
+	rt.wake(waitLock, m.id)
 	var pcs [1]uintptr
 	rt.capturePC(&pcs)
 	rt.emitPC(x.t, trace.OpWait, m.id, pcs[0])

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/sched"
@@ -29,18 +30,20 @@ func (l *eventLog) ObserveBatch(batch []trace.Event) { l.events = append(l.event
 
 // TestRetainedResultsMatchReplay keeps every Result that Explore and
 // ExploreDPOR hand to Visit and, once the search has returned, compares
-// each with a fresh Run of its schedule: trace events, string table, final
-// values, symbols, schedule and choices. A search recycles its runtime's
-// buffers across replays, so this pins that none of them reaches a
-// Result. The searches are explore.golden's (the certify items at 2
-// threads, the generated programs, the fixtures), the fault fixtures,
-// whose runs end in thread panics and deadlocks, so that the runs after a
-// killed one are covered, and bank-buggy; the fault fixtures' and
-// bank-buggy's replays run an observer, which must see exactly the run's
-// trace. A deadlocked run's replay must end in the same deadlock: its
-// threads are killed inside WithLock bodies, and nothing their deferred
-// Releases run while they unwind may be recorded. A run that ended in
-// another error is compared with a copy taken when it was visited instead.
+// each with a fresh Run of its schedule, the threads of its trace's
+// events: trace events, string table, final values, symbols and choices.
+// A search recycles its runtime's buffers across replays, so this pins
+// that none of them reaches a Result. The searches are explore.golden's
+// (the certify items at 2 threads, the generated programs, the fixtures),
+// the fault fixtures, whose runs end in thread panics and deadlocks, so
+// that the runs after a killed one are covered, and bank-buggy. A
+// deadlocked run's replay must end in the same deadlock: its threads are
+// killed inside WithLock bodies, and nothing their deferred Releases run
+// while they unwind may be recorded. A run that ended in another error is
+// compared with a copy taken when it was visited instead. A panicked run
+// is replayed from its ExploreError's prefix. The replays of the fault
+// fixtures' and bank-buggy's runs, deadlocked and panicked ones included,
+// run an observer, which must see exactly the kept trace.
 func TestRetainedResultsMatchReplay(t *testing.T) {
 	var searches []retainedSearch
 	for _, name := range certifyGoldenItems {
@@ -81,13 +84,11 @@ func TestRetainedResultsMatchReplay(t *testing.T) {
 func checkRetained(t *testing.T, explore func(*sched.Program, sched.ExploreOptions) (*sched.ExploreReport, error), s retainedSearch) {
 	t.Helper()
 	type visit struct {
-		res  *sched.Result
-		err  error
-		at   resultView // the Result as Visit saw it
-		seen []trace.Event
+		res *sched.Result
+		err error
+		at  resultView // the Result as Visit saw it
 	}
 	var visits []visit
-	var log *eventLog
 	opts := sched.ExploreOptions{
 		MaxRuns:        s.maxRuns,
 		MaxPreemptions: s.bound,
@@ -97,18 +98,9 @@ func checkRetained(t *testing.T, explore func(*sched.Program, sched.ExploreOptio
 			if res != nil {
 				v.at = viewOf(res)
 			}
-			if log != nil {
-				v.seen = log.events
-			}
 			visits = append(visits, v)
 			return true
 		},
-	}
-	if s.observe {
-		opts.Observers = func() []sched.Observer {
-			log = &eventLog{}
-			return []sched.Observer{log}
-		}
 	}
 	p := s.build()
 	if _, err := explore(p, opts); err != nil {
@@ -120,16 +112,29 @@ func checkRetained(t *testing.T, explore func(*sched.Program, sched.ExploreOptio
 			continue
 		}
 		want := v.at
-		if v.err == nil || errors.Is(v.err, sched.ErrDeadlock) {
-			res, err := sched.Run(p, sched.Options{Strategy: sched.NewReplayChoices(v.res.Schedule, v.res.Choices), RecordTrace: true})
+		var log eventLog
+		var pe *sched.ExploreError
+		panicked := errors.As(v.err, &pe)
+		if v.err == nil || errors.Is(v.err, sched.ErrDeadlock) || panicked {
+			// A panicked run replays from its forced-decision prefix: its
+			// trace's threads do not name the thread picked to panic after
+			// its last event.
+			ro := sched.Options{Strategy: sched.NewReplayChoices(tidsOf(v.res.Trace), v.res.Choices), RecordTrace: true}
+			if panicked {
+				ro.Strategy = &sched.Guided{Prefix: pe.Prefix}
+			}
+			if s.observe {
+				ro.Observers = []sched.Observer{&log}
+			}
+			res, err := sched.Run(p, ro)
 			if !sameError(err, v.err) {
 				t.Fatalf("%s: visit %d: replay ended in %v, want %v", s.label, i, err, v.err)
 			}
 			want = viewOf(res)
 		}
 		diff := viewOf(v.res).diff(want)
-		if diff == "" && s.observe && !slices.Equal(v.seen, v.res.Trace.Events) {
-			diff = "the observer saw other events than the trace holds"
+		if diff == "" && s.observe && !slices.Equal(log.events, v.res.Trace.Events) {
+			diff = "the replay's observer saw other events than the trace holds"
 		}
 		if diff != "" {
 			t.Errorf("%s: visit %d of %d: %s", s.label, i, len(visits), diff)
@@ -140,8 +145,13 @@ func checkRetained(t *testing.T, explore func(*sched.Program, sched.ExploreOptio
 	}
 }
 
-// sameError reports whether a replay's error reads as the original run's.
+// sameError reports whether a replay's error reads as the original run's,
+// a search's panic as a run's panic of the same value.
 func sameError(got, want error) bool {
+	var pe *sched.ExploreError
+	if errors.As(want, &pe) && got != nil {
+		return strings.HasSuffix(got.Error(), fmt.Sprint(pe.Panic))
+	}
 	if got == nil || want == nil {
 		return got == want
 	}
@@ -155,7 +165,6 @@ type resultView struct {
 	strings    []string
 	vars, vols []int64
 	symbols    sched.Symbols
-	schedule   []trace.TID
 	choices    []int
 }
 
@@ -165,14 +174,13 @@ func viewOf(r *sched.Result) resultView {
 		*names = slices.Clone(*names)
 	}
 	return resultView{
-		count:    r.Events,
-		events:   slices.Clone(r.Trace.Events),
-		strings:  slices.Clone(r.Strings.All()),
-		vars:     slices.Clone(r.FinalVars),
-		vols:     slices.Clone(r.FinalVolatiles),
-		symbols:  sym,
-		schedule: slices.Clone(r.Schedule),
-		choices:  slices.Clone(r.Choices),
+		count:   r.Events,
+		events:  slices.Clone(r.Trace.Events),
+		strings: slices.Clone(r.Strings.All()),
+		vars:    slices.Clone(r.FinalVars),
+		vols:    slices.Clone(r.FinalVolatiles),
+		symbols: sym,
+		choices: slices.Clone(r.Choices),
 	}
 }
 
@@ -189,70 +197,8 @@ func (v resultView) diff(want resultView) string {
 		return fmt.Sprintf("final values differ: %v %v, want %v %v", v.vars, v.vols, want.vars, want.vols)
 	case !reflect.DeepEqual(v.symbols, want.symbols):
 		return fmt.Sprintf("symbols differ: %+v, want %+v", v.symbols, want.symbols)
-	case !slices.Equal(v.schedule, want.schedule) || !slices.Equal(v.choices, want.choices):
-		return "schedule or choices differ"
+	case !slices.Equal(v.choices, want.choices):
+		return "choices differ"
 	}
 	return ""
-}
-
-// internObserver interns names into each run's string table before the
-// run starts, as an observer resolving its own names may.
-type internObserver struct{ names []string }
-
-func (o *internObserver) ObserveBatch([]trace.Event) {}
-
-func (o *internObserver) SetStrings(s *trace.Strings) {
-	for _, n := range o.names {
-		s.Intern(n)
-	}
-}
-
-// TestObserverInternedLocationsStayUnique runs an exploration whose
-// observers intern, ahead of every replay, the location names the replay
-// will capture (in reverse, so their ids differ from the capture order).
-// The runtime appends a location to the run's table unhashed while nothing
-// has interned into it; here each name must still appear once, and every
-// event must name the location a replay without the observer names.
-func TestObserverInternedLocationsStayUnique(t *testing.T) {
-	bank, _ := workloads.Get("bank-buggy")
-	p := bank.New(2, 1)
-	ref, err := sched.Run(p, sched.Options{Strategy: &sched.Cooperative{}, RecordTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := slices.Clone(ref.Strings.All())
-	slices.Reverse(names)
-	runs := 0
-	_, err = sched.Explore(p, sched.ExploreOptions{
-		MaxRuns: 200, MaxPreemptions: 2, RecordTrace: true,
-		Observers: func() []sched.Observer { return []sched.Observer{&internObserver{names: names}} },
-		Visit: func(res *sched.Result, err error) bool {
-			if err != nil || res == nil {
-				t.Fatalf("run %d: %v", runs, err)
-			}
-			runs++
-			all := res.Strings.All()
-			sorted := slices.Clone(all)
-			slices.Sort(sorted)
-			if len(slices.Compact(sorted)) != len(all) {
-				t.Fatalf("run %d: a name appears twice in %q", runs, all)
-			}
-			want, err := sched.Run(p, sched.Options{Strategy: sched.NewReplayChoices(res.Schedule, res.Choices), RecordTrace: true})
-			if err != nil {
-				t.Fatalf("run %d: replay: %v", runs, err)
-			}
-			for i, e := range res.Trace.Events {
-				if got, w := res.Strings.Name(e.Loc), want.Strings.Name(want.Trace.Events[i].Loc); got != w {
-					t.Fatalf("run %d: event %d at %q, want %q", runs, i, got, w)
-				}
-			}
-			return true
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runs < 2 {
-		t.Fatalf("explored %d runs, want several", runs)
-	}
 }

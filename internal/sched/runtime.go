@@ -39,20 +39,6 @@ type Options struct {
 	Ctx context.Context
 }
 
-// StringsAware is implemented by observers that want to resolve LocIDs;
-// the runtime hands them the run's string table before execution starts.
-type StringsAware interface {
-	SetStrings(s *trace.Strings)
-}
-
-// EventsHinted is implemented by observers that presize their state for a
-// trace's event count (race.Detector, velodrome.Checker, core.Checker):
-// FeedTrace hands them the trace's exact length before the first batch.
-// A run hints no observer, since its length is not known until it ends.
-type EventsHinted interface {
-	HintEvents(n int)
-}
-
 // Symbols maps the dense ids appearing in trace Targets back to the names
 // declared when the Program was built.
 type Symbols struct {
@@ -144,13 +130,12 @@ type Result struct {
 	FinalVars []int64
 	// FinalVolatiles holds the final value of every volatile variable.
 	FinalVolatiles []int64
-	// Schedule is the tid of each event in execution order; feeding it to
-	// NewReplay reproduces this run exactly, a deadlocked run included:
-	// nothing its threads run while they are killed is recorded.
-	Schedule []trace.TID
 	// Choices is the committed case index of every select decision, in
-	// commit order. Replaying requires both Schedule and Choices when the
-	// program selects among simultaneously ready cases (see Replay.Choices).
+	// commit order. Feeding the tids of Trace's events to NewReplay
+	// reproduces this run exactly, a deadlocked run included (nothing its
+	// threads run while they are killed is recorded); a program that
+	// selects among simultaneously ready cases needs Choices too
+	// (NewReplayChoices).
 	Choices []int
 	// Stats is the run's scheduling telemetry (also flushed to the obs
 	// registry).
@@ -266,8 +251,8 @@ var errKilled = errors.New("sched: thread killed")
 // the buffers no Result refers to (thread records, lock, condition and
 // channel state, the staging log's chunks, the location cache, the
 // scheduling scratch) and allocates afresh everything a Result holds
-// (trace, string table, symbols, final values, schedule, choices), so a
-// Result stays intact however many runs follow it.
+// (trace, string table, symbols, final values, choices), so a Result
+// stays intact however many runs follow it.
 type Runtime struct {
 	prog  *Program
 	opts  Options
@@ -472,12 +457,6 @@ func (rt *Runtime) run(p *Program, opts Options) (*Result, error) {
 		rt.tr.Meta.Strategy = opts.Strategy.Name()
 		rt.tr.Meta.Seed = opts.Strategy.Seed()
 	}
-	// Observers get the string table before the first batch.
-	for _, o := range opts.Observers {
-		if sa, ok := o.(StringsAware); ok {
-			sa.SetStrings(rt.strings)
-		}
-	}
 	rt.strat.Reset()
 	if flight.Enabled() {
 		rt.phaseOn = true
@@ -509,15 +488,12 @@ func (rt *Runtime) run(p *Program, opts Options) (*Result, error) {
 	}
 	rt.flushMetrics()
 
-	// The run's schedule and trace are allocated once, at their final
-	// length, and filled from the staging log.
-	schedule := make([]trace.TID, rt.events)
-	var events []trace.Event
+	// The run's trace is allocated once, at its final length, and filled
+	// from the staging log.
 	if rt.tr != nil {
-		events = make([]trace.Event, len(schedule))
-		rt.tr.Events = events
+		rt.tr.Events = make([]trace.Event, rt.events)
+		rt.log.fill(rt.tr.Events)
 	}
-	rt.log.fill(schedule, events)
 	res := &Result{
 		Trace:          rt.tr,
 		Events:         rt.events,
@@ -526,7 +502,6 @@ func (rt *Runtime) run(p *Program, opts Options) (*Result, error) {
 		Symbols:        rt.symbols,
 		FinalVars:      rt.vals,
 		FinalVolatiles: rt.volVals,
-		Schedule:       schedule,
 		Choices:        rt.choices,
 		Stats: SchedStats{
 			Switches:        rt.switches,
@@ -880,7 +855,7 @@ func (rt *Runtime) threadBody(x *T) (handedOn bool) {
 			}
 		}
 		t.state = stateDone
-		rt.wakeJoiners(t.id)
+		rt.wake(waitJoin, uint64(t.id))
 		handedOn = rt.handoff(t, false)
 	}()
 	rt.emit(t, trace.OpBegin, 0, locNone)
@@ -909,28 +884,24 @@ func (rt *Runtime) blockOn(t *thread, kind waitKind, id uint64) {
 	t.waitOn = waitNone
 }
 
-func (rt *Runtime) wakeJoiners(id trace.TID) {
+// wake makes runnable every thread parked in a wait of kind on id: a
+// joined thread's id, a lock, a group's volatile, or a channel.
+func (rt *Runtime) wake(kind waitKind, id uint64) {
 	for _, t := range rt.threads {
-		if t.state == stateBlocked && t.waitOn == waitJoin && t.waitID == uint64(id) {
+		if t.state == stateBlocked && t.waitOn == kind && t.waitID == id {
 			t.state = stateRunnable
 		}
 	}
 }
 
-func (rt *Runtime) wakeLockWaiters(lockID uint64) {
+// waiting reports whether a thread is parked in a wait of kind on id.
+func (rt *Runtime) waiting(kind waitKind, id uint64) bool {
 	for _, t := range rt.threads {
-		if t.state == stateBlocked && t.waitOn == waitLock && t.waitID == lockID {
-			t.state = stateRunnable
+		if t.state == stateBlocked && t.waitOn == kind && t.waitID == id {
+			return true
 		}
 	}
-}
-
-func (rt *Runtime) wakeGroupWaiters(volID uint64) {
-	for _, t := range rt.threads {
-		if t.state == stateBlocked && t.waitOn == waitGroup && t.waitID == volID {
-			t.state = stateRunnable
-		}
-	}
+	return false
 }
 
 // locNone suppresses location capture for runtime-internal events.
@@ -962,7 +933,7 @@ func (rt *Runtime) emit(t *thread, op trace.Op, target uint64, loc trace.LocID) 
 	if rt.killed {
 		// t is being killed (killAll, or main unwinding after end), and an
 		// op in one of its defers (a WithLock's Release) never happened in
-		// the run: recording it would end a deadlocked run's schedule in
+		// the run: recording it would end a deadlocked run's trace in
 		// events that its replay cannot reproduce.
 		panic(errKilled)
 	}
@@ -971,7 +942,7 @@ func (rt *Runtime) emit(t *thread, op trace.Op, target uint64, loc trace.LocID) 
 	}
 	// The budget and the context are checked before the event is counted,
 	// so the event that aborts a run is neither counted nor recorded and
-	// Result.Events is the length of its schedule.
+	// Result.Events is the length of its trace.
 	if rt.events >= rt.maxEvents {
 		if rt.err == nil {
 			rt.err = fmt.Errorf("sched: event budget exceeded (%d events); livelock?", rt.maxEvents)

@@ -10,6 +10,16 @@ import (
 	"repro/internal/trace"
 )
 
+// tidsOf returns the thread of each of tr's events, the schedule that
+// NewReplay and NewReplayChoices take.
+func tidsOf(tr *trace.Trace) []trace.TID {
+	tids := make([]trace.TID, len(tr.Events))
+	for i, e := range tr.Events {
+		tids[i] = e.Tid
+	}
+	return tids
+}
+
 // counterProgram increments a shared counter n times from each of k workers,
 // guarded by a mutex when locked is true.
 func counterProgram(workers, n int, locked bool) *Program {
@@ -150,7 +160,7 @@ func TestReplayReproducesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(counterProgram(3, 4, true), Options{Strategy: NewReplay(orig.Schedule), RecordTrace: true})
+	rep, err := Run(counterProgram(3, 4, true), Options{Strategy: NewReplay(tidsOf(orig.Trace)), RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,38 +473,6 @@ func TestObserversSeeEveryEvent(t *testing.T) {
 	}
 }
 
-// hintObserver records the event hint it was given.
-type hintObserver struct {
-	hint int
-}
-
-func (h *hintObserver) ObserveBatch([]trace.Event) {}
-func (h *hintObserver) HintEvents(n int)           { h.hint = n }
-
-// TestEventsHintForwardedToObservers: a run hints no observer, neither a
-// fresh Run nor an exploration's replays, which know the previous replay's
-// length; only FeedTrace, which knows the trace's, does
-// (TestBatchHintBeforeFirstBatch).
-func TestEventsHintForwardedToObservers(t *testing.T) {
-	ho := hintObserver{hint: -1}
-	if _, err := Run(counterProgram(2, 3, true), Options{
-		Observers: []Observer{&ho},
-		Strategy:  NewRandom(11),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Explore(counterProgram(2, 1, false), ExploreOptions{
-		MaxRuns:   8,
-		Observers: func() []Observer { return []Observer{&ho} },
-		Visit:     func(*Result, error) bool { return true },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if ho.hint != -1 {
-		t.Fatalf("a run hinted its observer %d events", ho.hint)
-	}
-}
-
 func TestAtomicSpansEmitted(t *testing.T) {
 	p := NewProgram("atomic")
 	x := p.Var("x")
@@ -524,21 +502,6 @@ func TestJoinAlreadyDoneChild(t *testing.T) {
 	})
 	if _, err := Run(p, Options{Strategy: &RoundRobin{Quantum: 1}}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestScheduleMatchesEventTids(t *testing.T) {
-	res, err := Run(counterProgram(2, 2, true), Options{Strategy: NewRandom(5), RecordTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Schedule) != len(res.Trace.Events) {
-		t.Fatalf("schedule length %d != events %d", len(res.Schedule), len(res.Trace.Events))
-	}
-	for i, e := range res.Trace.Events {
-		if res.Schedule[i] != e.Tid {
-			t.Fatalf("schedule[%d] = %d, event tid %d", i, res.Schedule[i], e.Tid)
-		}
 	}
 }
 

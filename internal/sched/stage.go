@@ -19,8 +19,8 @@ var chunkPool sync.Pool // of *[chunkEvents]trace.Event
 // stageLog is where a run records its events: each event is written once,
 // into fixed-size chunks that the log keeps across its Runtime's runs, so
 // a run never regrows an array. Observers are handed each chunk as a batch
-// when it fills, and the last, partial one when the run ends; then the
-// run's schedule and trace are copied out at their exact length (fill).
+// when it fills, and the last, partial one when the run ends; then, under
+// RecordTrace, the run's trace is copied out at its exact length (fill).
 type stageLog struct {
 	// cur is the chunk being filled; the run's earlier chunks are full.
 	cur []trace.Event
@@ -47,22 +47,15 @@ func (l *stageLog) next() {
 	l.n++
 }
 
-// fill copies the run's events into schedule, by thread id, and into
-// events when it is non-nil; both have the run's length.
-func (l *stageLog) fill(schedule []trace.TID, events []trace.Event) {
+// fill copies the run's events into events, which has the run's length.
+func (l *stageLog) fill(events []trace.Event) {
 	at := 0
 	for k := range l.n {
 		c := l.cur
 		if k < l.n-1 {
 			c = l.chunks[k][:]
 		}
-		for i := range c {
-			schedule[at+i] = c[i].Tid
-		}
-		if events != nil {
-			copy(events[at:], c)
-		}
-		at += len(c)
+		at += copy(events[at:], c)
 	}
 }
 

@@ -17,7 +17,7 @@ func longCounter() *Program { return counterProgram(4, 1250, true) }
 // TestLongRunBatches runs a program that fills several staging chunks with
 // an event-copying observer: the observer must see exactly the trace, each
 // full chunk as one batch and then the partial last one, and attaching it
-// must not change the trace or the schedule.
+// must not change the trace.
 func TestLongRunBatches(t *testing.T) {
 	opts := Options{Strategy: &RoundRobin{Quantum: 3}, RecordTrace: true}
 	ref, err := Run(longCounter(), opts)
@@ -36,9 +36,6 @@ func TestLongRunBatches(t *testing.T) {
 	sameEvents(t, br.events, res.Trace.Events, "observer")
 	checkBatches(t, br.batchSizes, res.Events, "observer")
 	sameEvents(t, res.Trace.Events, ref.Trace.Events, "run with an observer against one without")
-	if !slices.Equal(res.Schedule, ref.Schedule) {
-		t.Fatal("the observer changed the schedule")
-	}
 }
 
 // TestConcurrentLongRuns runs long programs from four goroutines at once,
@@ -73,8 +70,6 @@ func TestConcurrentLongRuns(t *testing.T) {
 					errs[i] = err
 				case !slices.Equal(res.Trace.Events, want[i].Trace.Events):
 					errs[i] = fmt.Errorf("goroutine %d: trace differs from the run made alone", i)
-				case !slices.Equal(res.Schedule, want[i].Schedule):
-					errs[i] = fmt.Errorf("goroutine %d: schedule differs from the run made alone", i)
 				}
 			}
 		}()
@@ -88,14 +83,14 @@ func TestConcurrentLongRuns(t *testing.T) {
 }
 
 // maxLongRunAllocRatio bounds what one warm Run of a long program may
-// allocate, as a multiple of the bytes its trace and schedule hold. A run
-// that grew its trace and schedule by append allocated 4.8 times that.
+// allocate, as a multiple of the bytes its trace holds. A run that grew
+// its trace and a schedule by append allocated 4.8 times what the two held.
 const maxLongRunAllocRatio = 1.5
 
 // TestLongRunAllocs measures one Run of a program of about 100k events,
 // after a warm-up Run: staged in pooled chunks and copied out once at its
-// exact length, the run allocates little more than its Result's trace and
-// schedule hold.
+// exact length, the run allocates little more than its Result's trace
+// holds.
 func TestLongRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -112,15 +107,9 @@ func TestLongRunAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := float64(uintptr(len(res.Trace.Events))*eventBytes + uintptr(len(res.Schedule))*tidBytes)
+	held := float64(uintptr(len(res.Trace.Events)) * unsafe.Sizeof(trace.Event{}))
 	if got := float64(after.TotalAlloc - before.TotalAlloc); got > maxLongRunAllocRatio*held {
-		t.Fatalf("a run of %d events allocated %.0f bytes, %.2f times the %.0f its trace and schedule hold; want at most %.1f",
+		t.Fatalf("a run of %d events allocated %.0f bytes, %.2f times the %.0f its trace holds; want at most %.1f",
 			res.Events, got, got/held, held, maxLongRunAllocRatio)
 	}
 }
-
-// The sizes of a trace event and of a schedule entry.
-const (
-	eventBytes = unsafe.Sizeof(trace.Event{})
-	tidBytes   = unsafe.Sizeof(trace.TID(0))
-)

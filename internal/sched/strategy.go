@@ -259,7 +259,8 @@ func (s *PCT) Pick(runnable []trace.TID, current trace.TID) trace.TID {
 // be executed by Schedule[i]. Replaying a feasible schedule of a
 // deterministic program reproduces its trace bit-for-bit.
 type Replay struct {
-	// Schedule is the per-event thread order, e.g. Result.Schedule.
+	// Schedule is the per-event thread order, e.g. the Tid of each event
+	// of a recorded Result.Trace.
 	Schedule []trace.TID
 	// Choices optionally forces the recorded select decisions
 	// (Result.Choices) in commit order. Without it, replayed selects
@@ -275,7 +276,7 @@ type Replay struct {
 func NewReplay(schedule []trace.TID) *Replay { return &Replay{Schedule: schedule} }
 
 // NewReplayChoices returns a Replay strategy that also forces the recorded
-// select decisions (use Result.Schedule and Result.Choices).
+// select decisions (use a recorded trace's thread ids and Result.Choices).
 func NewReplayChoices(schedule []trace.TID, choices []int) *Replay {
 	return &Replay{Schedule: schedule, Choices: choices}
 }

@@ -196,7 +196,7 @@ type Event struct {
 type Strings struct {
 	// byName indexes names[:indexed]. Intern creates it and brings it up
 	// to date first, so a table filled through AppendNew hashes its names
-	// only once something interns into it.
+	// only if something interns into it.
 	byName  map[string]LocID
 	indexed int
 	names   []string
@@ -222,15 +222,11 @@ func (s *Strings) Intern(name string) LocID {
 	return id
 }
 
-// AppendNew registers name, which no earlier AppendNew registered, and
-// returns its id. Until something interns into s it appends name without
-// hashing it; from then on it is Intern, so a name an Intern registered is
-// not registered twice. The virtual runtime, which knows which names each
-// run has appended, fills its runs' tables this way.
+// AppendNew registers name, which s does not hold, without hashing it,
+// and returns its id; a later Intern indexes it. The virtual runtime, the
+// only writer of its runs' tables while they run and which knows which
+// names each run has appended, fills them this way.
 func (s *Strings) AppendNew(name string) LocID {
-	if s.byName != nil {
-		return s.Intern(name)
-	}
 	s.names = append(s.names, name)
 	return LocID(len(s.names) - 1)
 }

@@ -62,7 +62,6 @@ func runVeloBench(b *testing.B, tr *trace.Trace) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := New(Options{})
-		c.HintEvents(events)
 		for _, e := range tr.Events {
 			c.Event(e)
 		}

@@ -117,27 +117,6 @@ func New(opts Options) *Checker {
 	return &Checker{opts: opts}
 }
 
-// HintEvents presizes the node and edge arenas for a trace of n events
-// (sched.EventsHinted); FeedTrace and Analyze pass the trace's exact
-// length. A no-op once events have been processed.
-func (c *Checker) HintEvents(n int) {
-	if n <= 0 || c.events > 0 {
-		return
-	}
-	// Every event creates at most one node and one edge; cap the presize so
-	// multi-million-event hints do not balloon resident memory.
-	size := n
-	if size > 1<<15 {
-		size = 1 << 15
-	}
-	if c.nodes == nil {
-		c.nodes = make([]node, 0, size)
-	}
-	if c.edges == nil {
-		c.edges = make([]edge, 0, size)
-	}
-}
-
 // growTID ensures the per-thread slices cover tid. The common no-grow case
 // inlines to a single compare.
 func (c *Checker) growTID(ti int) {
@@ -456,7 +435,6 @@ func (c *Checker) Events() int { return c.events }
 // violations.
 func Analyze(tr *trace.Trace, opts Options) []Violation {
 	c := New(opts)
-	c.HintEvents(tr.Len())
 	for _, e := range tr.Events {
 		c.Event(e)
 	}

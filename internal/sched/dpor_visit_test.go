@@ -15,21 +15,11 @@ import (
 // dporGolden pins ExploreDPOR's visit sequence, one row per search: the
 // report's status, runs and states, and a hash of every visited run's
 // schedule (its events' threads) and Choices (or error text), in visit
-// order. The searches are
-// the dpor benchmark items (every workload but dporGoldenExcluded) at 3
-// threads, size 1, bound 2 and a 20000-run cap, and the digest's generated
-// programs at bounds 0-2 with a small run cap.
+// order. The searches are every workload at 3 threads, size 1, bound 2 and
+// a 20000-run cap, and the digest's generated programs at bounds 0-2 with a
+// small run cap.
 // `go test ./internal/sched -run DPORVisitGolden -update-golden` re-records.
 const dporGolden = "testdata/dpor.golden"
-
-// dporGoldenExcluded mirrors the dpor benchmark's excluded workloads:
-// barber hits the run cap, six finish with no conflict to branch on, and
-// five take too long for a unit test.
-var dporGoldenExcluded = map[string]bool{
-	"barber": true,
-	"crypt":  true, "lufact": true, "moldyn": true, "series": true, "sor": true, "sparse": true,
-	"elevator": true, "indexer": true, "pubsub": true, "rwcache": true, "syncbench": true,
-}
 
 // genGoldenCap caps each generated program's search, in this golden and
 // in explore.golden.
@@ -67,10 +57,8 @@ func dporRows(t *testing.T) []string {
 	t.Helper()
 	var rows []string
 	for _, spec := range workloads.All() {
-		if !dporGoldenExcluded[spec.Name] {
-			rows = append(rows, searchRow(t, sched.ExploreDPOR,
-				fmt.Sprintf("workload/%s/threads=3/size=1/bound=2", spec.Name), spec.New(3, 1), 2, 20000))
-		}
+		rows = append(rows, searchRow(t, sched.ExploreDPOR,
+			fmt.Sprintf("workload/%s/threads=3/size=1/bound=2", spec.Name), spec.New(3, 1), 2, 20000))
 	}
 	for seed := int64(0); seed < digestGenSeeds; seed++ {
 		for bound := 0; bound <= 2; bound++ {

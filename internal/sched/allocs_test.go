@@ -7,9 +7,11 @@ import "testing"
 // trace, its string table, the symbols, the final values), the prefixes
 // the run's expansion pushes, and the workload's own closures. It read
 // 17.2 when the search began to recycle its runtime, against 61.0 when
-// every replay built its runtime, strategy and location cache afresh, and
-// 16.1 once a Result no longer kept a schedule beside its trace.
-const maxAllocsPerReplay = 19
+// every replay built its runtime, strategy and location cache afresh,
+// 16.1 once a Result no longer kept a schedule beside its trace, and 14.1
+// once a run's Symbols viewed the Program's declared names and its final
+// values shared one allocation.
+const maxAllocsPerReplay = 15
 
 // TestExploreReplayAllocs pins the allocations per replay of an Explore,
 // so that a change that brings back per-replay scratch allocation fails

@@ -56,12 +56,12 @@ func ExploreDPOR(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 		mExploreDPORScanned.Add(scan.scanned)
 	}()
 	return exploreDFS(p, &opts, "explore-dpor",
-		func(f frontier, res *Result, points []ChoicePoint, pre []int, push func(frontier), ftrack *flight.Track) {
+		func(f frontier, res *Result, g *Guided, push func(frontier), ftrack *flight.Track) {
 			pushed := 0
-			seen.run(points)
-			scan.expand(res, f.prefix, points, pre, opts.MaxPreemptions, func(dp int, t trace.TID, n int) {
+			seen.run(g)
+			scan.expand(res, g.Points, f.pre, opts.MaxPreemptions, func(dp int, t trace.TID, n int) {
 				if seen.add(dp, t) {
-					push(frontier{prefixAt(points, dp, t), n})
+					push(frontier{g.prefixAt(dp, t), n})
 					pushed++
 				}
 			})
@@ -97,8 +97,8 @@ type dporScan struct {
 	// largest thread id.
 	events  []trace.Event
 	threads int
-	// decisionOf[e] is the thread-pick point that scheduled event e, or -1;
-	// it is set only for the events the scan walks.
+	// decisionOf[e] is the recorded thread-pick point that scheduled event
+	// e, or -1; it is set only for the events the scan walks.
 	decisionOf []int32
 	// links[via][e] is the previous event of e's thread on e's chain of
 	// that kind, or -1: viaKey the keyed chain, viaChan the chain of
@@ -116,7 +116,7 @@ type dporScan struct {
 	// cands collects one event's flip candidates.
 	cands []int32
 	// frozen and scanned count the events of the search's runs before and
-	// from their frontiers (see expand), for explore.dpor.*.
+	// from their frozen frontiers (see expand), for explore.dpor.*.
 	frozen, scanned int64
 }
 
@@ -423,17 +423,18 @@ func (s *dporScan) candidates(ej trace.Event, kind chainKind, rows int32) []int3
 	return cands
 }
 
-// flip returns the decision point of event i, at which a flip schedules
-// thread t instead, and the flipped prefix's preemptions, or dp = -1 when
-// the current prefix froze that decision, t was not runnable there or
-// already chosen, or the switch would exceed the preemption bound. pre
-// holds the path's running preemption counts.
-func (s *dporScan) flip(i int32, t trace.TID, prefix []trace.TID, points []ChoicePoint, pre []int, maxPreemptions int) (dp, n int) {
-	dp = int(s.decisionOf[i])
-	if dp < 0 || dp < len(prefix) {
-		return -1, 0 // decision frozen by the current prefix
+// flip returns the decision of event i, at which a flip schedules thread
+// t instead, and the flipped prefix's preemptions, or dp = -1 when no
+// recorded point scheduled i (the prefix froze its decision or Guided
+// settled it as forced), t was not runnable there or already chosen, or
+// the switch would exceed the preemption bound. used is the run's
+// preemption count at every recorded point.
+func (s *dporScan) flip(i int32, t trace.TID, points []ChoicePoint, used, maxPreemptions int) (dp, n int) {
+	pi := s.decisionOf[i]
+	if pi < 0 {
+		return -1, 0
 	}
-	pt := points[dp]
+	pt := &points[pi]
 	if !containsTID(pt.Runnable, t) || t == pt.Chosen {
 		return -1, 0
 	}
@@ -443,36 +444,47 @@ func (s *dporScan) flip(i int32, t trace.TID, prefix []trace.TID, points []Choic
 	if pt.Current >= 0 && containsTID(pt.Runnable, pt.Current) && t != pt.Current {
 		cost = 1
 	}
-	if pre[dp]+cost > maxPreemptions {
+	if used+cost > maxPreemptions {
 		return -1, 0
 	}
-	return dp, pre[dp] + cost
+	return int(pt.decision), used + cost
+}
+
+// flippable reports whether some flip at thread pick pt fits the bound: an
+// alternative runnable thread, which, when the run has no preemption left,
+// must cost none, so the thread pt found running must have blocked or
+// ended. A recorded pick past the prefix keeps a runnable current thread,
+// so every alternative to it costs one.
+func flippable(pt *ChoicePoint, used, maxPreemptions int) bool {
+	return len(pt.Runnable) > 1 && (used < maxPreemptions || !containsTID(pt.Runnable, pt.Current))
 }
 
 // expand offers the backtracking prefixes of one run, each as the decision
-// point dp it changes, the thread, or select case, t it decides there (the
-// prefix is prefixAt(points, dp, t)) and the prefix's preemptions n: a flip
-// at each unfrozen decision point where a cross-thread conflict justifies
-// one, then every alternative case of every unfrozen select decision. pre
-// holds the run's running preemption counts from len(prefix) on.
-func (s *dporScan) expand(res *Result, prefix []trace.TID, points []ChoicePoint, pre []int, maxPreemptions int, offer func(dp int, t trace.TID, n int)) {
+// dp it changes, the thread, or select case, t it decides there (the
+// prefix is Guided.prefixAt(dp, t)) and the prefix's preemptions n: a flip
+// at each recorded thread pick where a cross-thread conflict justifies
+// one, then every alternative case of every recorded select decision.
+// points are the run's recorded decisions and used its preemption count
+// at each.
+func (s *dporScan) expand(res *Result, points []ChoicePoint, used, maxPreemptions int, offer func(dp int, t trace.TID, n int)) {
 	if res == nil || res.Trace == nil {
 		return
 	}
 	events := res.Trace.Events
 
-	// The frozen frontier is the first event whose decision the prefix
-	// left free: the one the first unfrozen thread pick scheduled. EventIdx
-	// never decreases along points, so every earlier event's decision is
-	// frozen or absent. A flip for a conflicting pair happens at the
-	// earlier event's decision, which flip drops when frozen, so no pair
-	// with an event before the frontier yields one; and from the frontier
-	// on, each thread's two latest conflicting events are those of the two
-	// latest overall that lie there. So only events[from:] are linked and
-	// walked, and the offered prefixes and their order do not change.
+	// The frozen frontier is the event of the first recorded thread pick
+	// at which some flip fits the bound. EventIdx never decreases along
+	// points, so every earlier event's decision is frozen by the prefix,
+	// forced (Guided settled it unrecorded), or recorded where no flip
+	// fits. A flip for a conflicting pair happens at the earlier event's
+	// decision, so no pair with an event before the frontier yields one;
+	// and from the frontier on, each thread's two latest conflicting
+	// events are those of the two latest overall that lie there. So only
+	// events[from:] are linked and walked, and the offered prefixes and
+	// their order do not change.
 	from := len(events)
-	for pi := len(prefix); pi < len(points); pi++ {
-		if pt := &points[pi]; !pt.Select && pt.EventIdx < len(events) {
+	for pi := range points {
+		if pt := &points[pi]; !pt.Select && pt.EventIdx < len(events) && flippable(pt, used, maxPreemptions) {
 			from = pt.EventIdx
 			break
 		}
@@ -481,13 +493,15 @@ func (s *dporScan) expand(res *Result, prefix []trace.TID, points []ChoicePoint,
 	s.scanned += int64(len(events) - from)
 	s.reset(events, from)
 
-	// decisionOf[e] = index of the choice point that scheduled event e
-	// (the last thread-pick point whose EventIdx equals e). Select
-	// decisions are skipped: their "runnable" sets hold case indices,
-	// not tids, so a thread flip must target the pick that scheduled
-	// the selecting thread, not the case decision stacked on top of it.
-	for pi := len(prefix); pi < len(points); pi++ {
-		if pt := &points[pi]; !pt.Select && pt.EventIdx < len(events) {
+	// decisionOf[e] = index of the recorded point that scheduled event e
+	// (the last thread-pick point whose EventIdx equals e). A decision
+	// Guided settled without recording is the first at its EventIdx, so a
+	// later recorded pick there still supersedes it. Select decisions are
+	// skipped: their "runnable" sets hold case indices, not tids, so a
+	// thread flip must target the pick that scheduled the selecting
+	// thread, not the case decision stacked on top of it.
+	for pi := range points {
+		if pt := &points[pi]; !pt.Select && pt.EventIdx >= from && pt.EventIdx < len(events) {
 			s.decisionOf[pt.EventIdx] = int32(pi)
 		}
 	}
@@ -503,7 +517,7 @@ func (s *dporScan) expand(res *Result, prefix []trace.TID, points []ChoicePoint,
 		kind := chainOf(ej.Op)
 		rows := s.rowsOf(kind, ej)
 		for _, i := range s.candidates(ej, kind, rows) {
-			if dp, n := s.flip(i, ej.Tid, prefix, points, pre, maxPreemptions); dp >= 0 {
+			if dp, n := s.flip(i, ej.Tid, points, used, maxPreemptions); dp >= 0 {
 				offer(dp, ej.Tid, n)
 			}
 		}
@@ -512,16 +526,16 @@ func (s *dporScan) expand(res *Result, prefix []trace.TID, points []ChoicePoint,
 	// Select nondeterminism is enumerated exhaustively — no reduction
 	// is attempted over select commits, since the dependence relation
 	// already treats a select as conflicting with every channel op.
-	// Every alternative ready case of every unfrozen select decision is
+	// Every alternative ready case of every recorded select decision is
 	// pushed; a select branch never costs a preemption (Current is -1).
-	for pi := len(points) - 1; pi >= len(prefix); pi-- {
-		pt := points[pi]
+	for pi := len(points) - 1; pi >= 0; pi-- {
+		pt := &points[pi]
 		if !pt.Select || len(pt.Runnable) < 2 {
 			continue
 		}
 		for _, alt := range pt.Runnable {
 			if alt != pt.Chosen {
-				offer(pi, alt, pre[pi])
+				offer(int(pt.decision), alt, used)
 			}
 		}
 	}
@@ -530,7 +544,7 @@ func (s *dporScan) expand(res *Result, prefix []trace.TID, points []ChoicePoint,
 // prefixSet is the set of prefixes an ExploreDPOR search has pushed, each
 // keyed by two bytes per decision. key holds the current run's choices so
 // encoded, so that testing an offer allocates nothing: the prefix that
-// decides t at point dp is key[:2*dp] followed by t's bytes, which add
+// decides t at decision dp is key[:2*dp] followed by t's bytes, which add
 // writes into key in place and then restores. Only a new prefix's key is
 // copied into a string.
 type prefixSet struct {
@@ -538,16 +552,19 @@ type prefixSet struct {
 	key  []byte
 }
 
-// run encodes the choices of the run whose offers follow.
-func (s *prefixSet) run(points []ChoicePoint) {
+// run encodes the decisions of the run whose offers follow: g's prefix,
+// then its path.
+func (s *prefixSet) run(g *Guided) {
 	s.key = s.key[:0]
-	for _, pt := range points {
-		s.key = append(s.key, byte(pt.Chosen), byte(pt.Chosen>>8))
+	for _, steps := range [2][]trace.TID{g.Prefix, g.path} {
+		for _, c := range steps {
+			s.key = append(s.key, byte(c), byte(c>>8))
+		}
 	}
 }
 
-// add adds prefixAt(points, dp, t), for the points of the last run call,
-// and reports whether it is new.
+// add adds g.prefixAt(dp, t), for the g of the last run call, and reports
+// whether it is new.
 func (s *prefixSet) add(dp int, t trace.TID) bool {
 	k := s.key[:2*dp+2]
 	c0, c1 := k[2*dp], k[2*dp+1]

@@ -9,31 +9,51 @@ import (
 )
 
 // expandDPOROracle is ExploreDPOR's expansion as it was before the indexed
-// backtrack scan: for every event j it walks every earlier event i. It is
-// kept unchanged as the oracle the indexed scan is compared against.
-func expandDPOROracle(res *Result, prefix []trace.TID, points []ChoicePoint, maxPreemptions int, push func([]trace.TID)) {
+// backtrack scan: for every event j it walks every earlier event i. Its
+// rules are kept unchanged as the oracle the indexed scan is compared
+// against. It reads a run's full decision log: points holds every
+// decision past prefix, the k-th being decision len(prefix)+k (a
+// zero-value Guided's replay of the prefix records it), and pre is the
+// prefix's carried preemption count.
+func expandDPOROracle(res *Result, prefix []trace.TID, points []ChoicePoint, pre, maxPreemptions int, push func([]trace.TID)) {
 	if res == nil || res.Trace == nil {
 		return
 	}
 	tr := res.Trace
+	// decisions returns the choices of every decision before dp.
+	decisions := func(dp int) []trace.TID {
+		np := make([]trace.TID, dp+1)
+		copy(np, prefix)
+		for k := len(prefix); k < dp; k++ {
+			np[k] = points[k-len(prefix)].Chosen
+		}
+		return np
+	}
 
-	// decisionOf[e] = index of the choice point that scheduled event e
-	// (the last thread-pick point whose EventIdx equals e). Select
-	// decisions are skipped: their "runnable" sets hold case indices,
-	// not tids, so a thread flip must target the pick that scheduled
-	// the selecting thread, not the case decision stacked on top of it.
+	// decisionOf[e] = the decision that scheduled event e (the last
+	// thread-pick point whose EventIdx equals e). Select decisions are
+	// skipped: their "runnable" sets hold case indices, not tids, so a
+	// thread flip must target the pick that scheduled the selecting
+	// thread, not the case decision stacked on top of it.
 	decisionOf := make([]int, len(tr.Events))
 	for i := range decisionOf {
 		decisionOf[i] = -1
 	}
 	for pi, pt := range points {
 		if !pt.Select && pt.EventIdx < len(decisionOf) {
-			decisionOf[pt.EventIdx] = pi
+			decisionOf[pt.EventIdx] = len(prefix) + pi
 		}
 	}
-	// Running preemption counts, shared by every flip considered below
-	// (recounting per pair was quadratic in trace depth).
-	pre := preemptionPrefix(nil, points, 0, 0)
+	// Running preemption counts from the prefix's on, shared by every flip
+	// considered below (recounting per pair was quadratic in trace depth).
+	counts := make([]int, len(points)+1)
+	counts[0] = pre
+	for i, pt := range points {
+		counts[i+1] = counts[i]
+		if pt.Current >= 0 && containsTID(pt.Runnable, pt.Current) && pt.Chosen != pt.Current {
+			counts[i+1]++
+		}
+	}
 
 	// For each event j, consider the latest earlier conflicting events
 	// of each other thread: reversing such a pair is the only
@@ -58,7 +78,7 @@ func expandDPOROracle(res *Result, prefix []trace.TID, points []ChoicePoint, max
 			if dp < 0 || dp < len(prefix) {
 				continue // decision frozen by the current prefix
 			}
-			pt := points[dp]
+			pt := points[dp-len(prefix)]
 			if !containsTID(pt.Runnable, ej.Tid) || ej.Tid == pt.Chosen {
 				continue
 			}
@@ -68,13 +88,10 @@ func expandDPOROracle(res *Result, prefix []trace.TID, points []ChoicePoint, max
 			if pt.Current >= 0 && containsTID(pt.Runnable, pt.Current) && ej.Tid != pt.Current {
 				cost = 1
 			}
-			if pre[dp]+cost > maxPreemptions {
+			if counts[dp-len(prefix)]+cost > maxPreemptions {
 				continue
 			}
-			np := make([]trace.TID, dp+1)
-			for k := 0; k < dp; k++ {
-				np[k] = points[k].Chosen
-			}
+			np := decisions(dp)
 			np[dp] = ej.Tid
 			push(np)
 		}
@@ -84,7 +101,7 @@ func expandDPOROracle(res *Result, prefix []trace.TID, points []ChoicePoint, max
 	// already treats a select as conflicting with every channel op.
 	// Every alternative ready case of every unfrozen select decision is
 	// pushed; a select branch never costs a preemption (Current is -1).
-	for pi := len(points) - 1; pi >= len(prefix); pi-- {
+	for pi := len(points) - 1; pi >= 0; pi-- {
 		pt := points[pi]
 		if !pt.Select || len(pt.Runnable) < 2 {
 			continue
@@ -93,11 +110,8 @@ func expandDPOROracle(res *Result, prefix []trace.TID, points []ChoicePoint, max
 			if alt == pt.Chosen {
 				continue
 			}
-			np := make([]trace.TID, pi+1)
-			for k := 0; k < pi; k++ {
-				np[k] = points[k].Chosen
-			}
-			np[pi] = alt
+			np := decisions(len(prefix) + pi)
+			np[len(prefix)+pi] = alt
 			push(np)
 		}
 	}
@@ -111,30 +125,38 @@ func exploreDPORRuns(p *Program, opts ExploreOptions, observe func(run DPORRun, 
 	var seen prefixSet
 	var scan dporScan
 	return exploreDFS(p, &opts, "explore-dpor",
-		func(f frontier, res *Result, points []ChoicePoint, pre []int, push func(frontier), _ *flight.Track) {
+		func(f frontier, res *Result, g *Guided, push func(frontier), _ *flight.Track) {
 			var offered [][]trace.TID
-			seen.run(points)
-			scan.expand(res, f.prefix, points, pre, opts.MaxPreemptions, func(dp int, t trace.TID, n int) {
-				np := prefixAt(points, dp, t)
+			seen.run(g)
+			scan.expand(res, g.Points, f.pre, opts.MaxPreemptions, func(dp int, t trace.TID, n int) {
+				np := g.prefixAt(dp, t)
 				offered = append(offered, np)
 				if seen.add(dp, t) {
 					push(frontier{np, n})
 				}
 			})
-			observe(DPORRun{f, res, points}, offered)
+			observe(DPORRun{f, res, *g}, offered)
 		})
 }
 
 // ExploreDPORAgainstOracle runs ExploreDPOR's search with every expansion
 // computed twice, by the indexed scan and by expandDPOROracle, and calls
 // mismatch with the expansion's number and both push sequences whenever
-// they differ. The search goes on with the indexed scan's pushes. It
-// returns the report and the number of expansions compared.
+// they differ. The oracle reads the full decision log of a replay of the
+// run's prefix by a zero-value Guided (replayFull), not the search's log,
+// which lacks the decisions Guided settled. The search goes on with the
+// indexed scan's pushes. It returns the report and the number of
+// expansions compared.
 func ExploreDPORAgainstOracle(p *Program, opts ExploreOptions, mismatch func(n int, got, want [][]trace.TID)) (*ExploreReport, int, error) {
+	full := newReplayer()
+	defer full.rt.close()
 	n := 0
 	rep, err := exploreDPORRuns(p, opts, func(r DPORRun, got [][]trace.TID) {
 		var want [][]trace.TID
-		expandDPOROracle(r.res, r.prefix, r.points, opts.MaxPreemptions, func(np []trace.TID) { want = append(want, np) })
+		if r.res != nil {
+			_, all := full.replayFull(p, r.prefix)
+			expandDPOROracle(r.res, r.prefix, all.Points, r.pre, opts.MaxPreemptions, func(np []trace.TID) { want = append(want, np) })
+		}
 		n++
 		if !slices.EqualFunc(got, want, slices.Equal[[]trace.TID]) {
 			mismatch(n, got, want)
@@ -206,28 +228,30 @@ func TestConflictIndexSound(t *testing.T) {
 	}
 }
 
-// DPORRun is what one run of an ExploreDPOR search hands its expansion.
+// DPORRun is what one run of an ExploreDPOR search hands its expansion:
+// the entry it replayed, its result and its decision log.
 type DPORRun struct {
 	frontier
-	res    *Result
-	points []ChoicePoint
+	res *Result
+	log Guided
 }
 
 // Events returns the length of the run's trace.
 func (r DPORRun) Events() int { return len(r.res.Trace.Events) }
 
 // RecordDPOR runs ExploreDPOR's search and returns every run's expansion
-// input, in visit order. Each run's choice points are copied, since the
+// input, in visit order. Each run's points and path are copied, since the
 // search's next replay reuses their arrays.
 func RecordDPOR(p *Program, opts ExploreOptions) ([]DPORRun, error) {
 	var runs []DPORRun
 	opts.Visit = func(*Result, error) bool { return true }
 	_, err := exploreDPORRuns(p, opts, func(r DPORRun, _ [][]trace.TID) {
 		if r.res != nil {
-			r.points = slices.Clone(r.points)
-			for i := range r.points {
-				r.points[i].Runnable = slices.Clone(r.points[i].Runnable)
+			points := slices.Clone(r.log.Points)
+			for i := range points {
+				points[i].Runnable = slices.Clone(points[i].Runnable)
 			}
+			r.log = Guided{Prefix: r.log.Prefix, Points: points, path: slices.Clone(r.log.path)}
 			runs = append(runs, r)
 		}
 	})
@@ -235,14 +259,12 @@ func RecordDPOR(p *Program, opts ExploreOptions) ([]DPORRun, error) {
 }
 
 // ExpandDPOR expands every recorded run with one scan, as a search does,
-// preemption sweep included, and returns the number of prefixes offered.
+// and returns the number of prefixes offered.
 func ExpandDPOR(runs []DPORRun, maxPreemptions int) int {
 	var scan dporScan
-	var pre []int
 	n := 0
 	for _, r := range runs {
-		pre = preemptionPrefix(pre, r.points, len(r.prefix), r.pre)
-		scan.expand(r.res, r.prefix, r.points, pre, maxPreemptions, func(int, trace.TID, int) { n++ })
+		scan.expand(r.res, r.log.Points, r.pre, maxPreemptions, func(int, trace.TID, int) { n++ })
 	}
 	return n
 }

@@ -51,26 +51,26 @@ func Explore(p *Program, opts ExploreOptions) (*ExploreReport, error) {
 		return nil, fmt.Errorf("sched: ExploreOptions.Visit is required")
 	}
 	return exploreDFS(p, &opts, "explore",
-		func(f frontier, _ *Result, points []ChoicePoint, pre []int, push func(frontier), _ *flight.Track) {
-			expandPrefixes(points, pre, len(f.prefix), opts.MaxPreemptions, push)
+		func(f frontier, _ *Result, g *Guided, push func(frontier), _ *flight.Track) {
+			expandPrefixes(g, f.pre, opts.MaxPreemptions, push)
 		})
 }
 
 // frontier is an entry of the search's stack: a forced-decision prefix to
-// replay and the preemptions it makes, preemptionsIn of its replay's
-// points[:len(prefix)]. The expansion that pushes it knows that count (the
-// running count at the branch point plus the branch's cost), so a run's
-// preemptions are counted only past its prefix.
+// replay and the preemptions it makes. The expansion that pushes it knows
+// that count (the count at the branch point plus the branch's cost). Past
+// its prefix a replay never preempts, so pre is also the count at every
+// decision the replay records.
 type frontier struct {
 	prefix []trace.TID
 	pre    int
 }
 
 // expandFunc pushes the frontier entries to visit after one run: f is the
-// entry the run replayed, res and points its result and choice points, pre
-// their running preemption counts from len(f.prefix) on (preemptionPrefix),
-// and ftrack the search's flight track (nil when not recording).
-type expandFunc func(f frontier, res *Result, points []ChoicePoint, pre []int, push func(frontier), ftrack *flight.Track)
+// entry the run replayed, res its result, g the search's Guided holding
+// the run's decision log (its branchable points and path), and ftrack the
+// search's flight track (nil when not recording).
+type expandFunc func(f frontier, res *Result, g *Guided, push func(frontier), ftrack *flight.Track)
 
 // exploreDFS is the sequential depth-first search loop of Explore and
 // ExploreDPOR: budget and run-cap checks, one panic-isolated replay per
@@ -106,7 +106,6 @@ func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc
 	}
 	stack := []frontier{{}}
 	push := func(f frontier) { stack = append(stack, f) }
-	var pre []int
 	for len(stack) > 0 {
 		if st := bud.Cutoff(); st != "" {
 			rep.Status = st
@@ -125,7 +124,7 @@ func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc
 		if ftrack != nil {
 			runSpan = ftrack.Begin(flight.CatSched, "schedule", exSpan.ID(), flight.A("depth", int64(len(f.prefix))))
 		}
-		res, points, err := r.replayPrefix(p, opts, bud.RunContext(), f.prefix)
+		res, err := r.replayPrefix(p, opts, bud.RunContext(), f)
 		if ftrack != nil {
 			EndRunSpan(runSpan, res, err)
 		}
@@ -154,8 +153,7 @@ func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc
 		}
 
 		t0 := time.Now()
-		pre = preemptionPrefix(pre, points, len(f.prefix), f.pre)
-		expand(f, res, points, pre, push, ftrack)
+		expand(f, res, &r.guided, push, ftrack)
 		expandNs += time.Since(t0).Nanoseconds()
 		expands++
 		mExploreFrontier.SetMax(int64(len(stack)))
@@ -166,7 +164,7 @@ func exploreDFS(p *Program, opts *ExploreOptions, span string, expand expandFunc
 
 // replayer is the state a search keeps across its replays: the runtime,
 // whose buffers each run recycles (see Runtime), and the search's Guided
-// strategy, whose choice-point log and arena each run refills. Nothing it
+// strategy, whose decision log and arena each run refills. Nothing it
 // keeps reaches a Result, so Visit may retain every Result it is given.
 type replayer struct {
 	rt     *Runtime
@@ -177,41 +175,44 @@ func newReplayer() *replayer {
 	return &replayer{rt: newRuntime()}
 }
 
-// replayPrefix executes one guided run of prefix with panic isolation: a panic
-// anywhere in the replay — the strategy, the scheduler loop, or (via the
-// runtime's own recover) a virtual thread — becomes an *ExploreError, so a
-// crashing schedule is a deterministic finding instead of a process abort.
-// ctx, when non-nil, aborts the run cooperatively with an error wrapping
-// ErrCancelled. The choice points it returns are valid until the next
-// replay.
-func (r *replayer) replayPrefix(p *Program, opts *ExploreOptions, ctx context.Context, prefix []trace.TID) (res *Result, points []ChoicePoint, err error) {
+// replayPrefix executes one guided run of f's prefix with panic isolation:
+// a panic anywhere in the replay — the strategy, the scheduler loop, or
+// (via the runtime's own recover) a virtual thread — becomes an
+// *ExploreError, so a crashing schedule is a deterministic finding instead
+// of a process abort. ctx, when non-nil, aborts the run cooperatively with
+// an error wrapping ErrCancelled. The run's decision log is left in
+// r.guided until the next replay: when f.pre spends the bound, Guided
+// settles the forced decisions past the prefix without recording a point,
+// since no branch there fits the bound. A panic the recover catches leaves
+// the log empty.
+func (r *replayer) replayPrefix(p *Program, opts *ExploreOptions, ctx context.Context, f frontier) (res *Result, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			res, points = nil, nil
-			err = &ExploreError{Prefix: prefix, Panic: rec, Stack: debug.Stack()}
+			res = nil
+			r.guided.Reset()
+			err = &ExploreError{Prefix: f.prefix, Panic: rec, Stack: debug.Stack()}
 			mExplorePanics.Inc()
 		}
 	}()
-	r.guided.Prefix = prefix
+	r.guided.Prefix = f.prefix
+	r.guided.spent = f.pre >= opts.MaxPreemptions
 	res, err = r.rt.run(p, Options{Strategy: &r.guided, RecordTrace: opts.RecordTrace, Ctx: ctx})
 	var tp *runPanic
 	if errors.As(err, &tp) {
-		err = &ExploreError{Prefix: prefix, Panic: tp.val, Stack: tp.stack}
+		err = &ExploreError{Prefix: f.prefix, Panic: tp.val, Stack: tp.stack}
 		mExplorePanics.Inc()
 	}
-	return res, r.guided.Points, err
+	return res, err
 }
 
 // expandPrefixes pushes the alternative forced-decision prefixes branching
-// off points[prefixLen:], in the DFS expansion order (deepest decision
-// first, so the search explores nearby schedules before distant ones),
-// each with its preemption count. The preemption budget is read from pre,
-// the path's running preemption counts (preemptionPrefix), instead of
-// recounting points[:i] per decision, which was quadratic in trace depth.
-func expandPrefixes(points []ChoicePoint, pre []int, prefixLen, maxPreemptions int, push func(frontier)) {
-	for i := len(points) - 1; i >= prefixLen; i-- {
-		pt := points[i]
-		used := pre[i]
+// off the decisions g recorded, in the DFS expansion order (deepest
+// decision first, so the search explores nearby schedules before distant
+// ones), each with its preemption count. used is the run's count at every
+// recorded decision: the preemptions its prefix made.
+func expandPrefixes(g *Guided, used, maxPreemptions int, push func(frontier)) {
+	for i := len(g.Points) - 1; i >= 0; i-- {
+		pt := &g.Points[i]
 		for _, alt := range pt.Runnable {
 			if alt == pt.Chosen {
 				continue
@@ -223,51 +224,7 @@ func expandPrefixes(points []ChoicePoint, pre []int, prefixLen, maxPreemptions i
 			if used+cost > maxPreemptions {
 				continue
 			}
-			push(frontier{prefixAt(points, i, alt), used + cost})
+			push(frontier{g.prefixAt(int(pt.decision), alt), used + cost})
 		}
 	}
-}
-
-// prefixAt returns the forced-decision prefix that repeats points' choices
-// before point dp and decides t there.
-func prefixAt(points []ChoicePoint, dp int, t trace.TID) []trace.TID {
-	np := make([]trace.TID, dp+1)
-	for k := 0; k < dp; k++ {
-		np[k] = points[k].Chosen
-	}
-	np[dp] = t
-	return np
-}
-
-// preemptionPrefix returns the running preemption counts of a decision-point
-// path from point from on, given base = preemptionsIn(points[:from]):
-// out[i] = preemptionsIn(points[:i]) for from <= i <= len(points), computed
-// in one linear sweep into out's array when it is large enough. Earlier
-// entries are left unset, and a path shorter than from (a replay that
-// diverged inside its prefix) has no counts to read.
-func preemptionPrefix(out []int, points []ChoicePoint, from, base int) []int {
-	out = resized(out, max(from, len(points))+1)
-	out[from] = base
-	for i := from; i < len(points); i++ {
-		pt := points[i]
-		cost := 0
-		if pt.Current >= 0 && containsTID(pt.Runnable, pt.Current) && pt.Chosen != pt.Current {
-			cost = 1
-		}
-		out[i+1] = out[i] + cost
-	}
-	return out
-}
-
-// preemptionsIn counts the non-forced switches in a decision-point path:
-// points where the previously running thread was still runnable but a
-// different thread was chosen.
-func preemptionsIn(points []ChoicePoint) int {
-	n := 0
-	for _, pt := range points {
-		if pt.Current >= 0 && containsTID(pt.Runnable, pt.Current) && pt.Chosen != pt.Current {
-			n++
-		}
-	}
-	return n
 }

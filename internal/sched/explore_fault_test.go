@@ -2,9 +2,13 @@ package sched
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // earlyForkPanics is incrementers with a forked thread that crashes on
@@ -109,7 +113,7 @@ func TestExplorePanicErrorShape(t *testing.T) {
 	}
 	// The prefix must reproduce the crash deterministically.
 	r := newReplayer()
-	_, _, rerr := r.replayPrefix(earlyForkPanics(), &ExploreOptions{}, nil, got.Prefix)
+	_, rerr := r.replayPrefix(earlyForkPanics(), &ExploreOptions{}, nil, frontier{prefix: got.Prefix})
 	r.rt.close()
 	if _, ok := rerr.(*ExploreError); !ok { //nolint:errorlint
 		t.Fatalf("replaying the crash prefix gave %v, want *ExploreError", rerr)
@@ -281,5 +285,83 @@ func TestContextStatus(t *testing.T) {
 	}
 	if got := ContextStatus(context.Canceled); got != StatusCancelled {
 		t.Errorf("Canceled → %s", got)
+	}
+}
+
+// sendAfterClose is a program whose main sends on a channel it has
+// closed, with three deferred writes to v, while a forked thread writes w
+// twice: the send fails the run inside an op, and main's defers emit
+// while it unwinds.
+func sendAfterClose() *Program {
+	p := NewProgram("send-after-close")
+	v, w := p.Var("v"), p.Var("w")
+	c := p.Chan("c", 1)
+	p.SetMain(func(t *T) {
+		h := t.Fork("w", func(t *T) {
+			t.Write(w, 1)
+			t.Write(w, 2)
+		})
+		func() {
+			defer t.Write(v, 3)
+			defer t.Write(v, 2)
+			defer t.Write(v, 1)
+			t.Close(c)
+			t.Send(c, 1)
+		}()
+		t.Join(h)
+	})
+	return p
+}
+
+// TestFailedOpEndsRunAtNextEvent: once an op fails the run, the failing
+// thread's next event ends it, whatever the strategy answers, so the
+// run's trace holds exactly one of the deferred writes and a replay of its
+// threads reproduces it. Guided, which settles a spent run's forced
+// decisions without a handoff, must end the run there as it did when every
+// decision reached Pick; both explorers' runs are checked too.
+func TestFailedOpEndsRunAtNextEvent(t *testing.T) {
+	check := func(label string, res *Result, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "sends on closed channel") {
+			t.Fatalf("%s: err = %v, want the failed send", label, err)
+		}
+		deferred := 0
+		for _, e := range res.Trace.Events {
+			if e.Tid == 0 && e.Op == trace.OpWrite {
+				deferred++
+			}
+		}
+		if deferred != 1 {
+			t.Errorf("%s: %d deferred writes recorded, want 1: %v", label, deferred, tidsOf(res.Trace))
+		}
+		again, _ := Run(sendAfterClose(), Options{Strategy: NewReplay(tidsOf(res.Trace)), RecordTrace: true})
+		if !slices.Equal(again.Trace.Events, res.Trace.Events) {
+			t.Errorf("%s: the replay's trace %v differs from %v", label, tidsOf(again.Trace), tidsOf(res.Trace))
+		}
+	}
+	strategies := []struct {
+		label string
+		s     Strategy
+	}{
+		{"cooperative", Cooperative{}}, {"roundrobin", &RoundRobin{Quantum: 5}}, {"random", NewRandom(1)},
+		{"guided", &Guided{}}, {"guided/spent", &Guided{spent: true}},
+	}
+	for _, st := range strategies {
+		res, err := Run(sendAfterClose(), Options{Strategy: st.s, RecordTrace: true})
+		check(st.label, res, err)
+	}
+	for _, ex := range explorers {
+		for bound := 0; bound <= 2; bound++ {
+			if _, err := ex.explore(sendAfterClose(), ExploreOptions{
+				MaxPreemptions: bound,
+				RecordTrace:    true,
+				Visit: func(res *Result, err error) bool {
+					check(fmt.Sprintf("%s/bound=%d", ex.name, bound), res, err)
+					return true
+				},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -97,54 +99,99 @@ func TestExploreParallelMaxRuns(t *testing.T) {
 	}
 }
 
-// ExploreCarried runs Explore's search, or with dpor ExploreDPOR's, and
-// calls bad for every replay whose carried preemption count, which the
-// expansion that pushed its prefix computed, is not preemptionsIn of the
-// replay's points[:len(prefix)].
-func ExploreCarried(p *Program, opts ExploreOptions, dpor bool, bad func(prefix []trace.TID, carried, counted int)) (*ExploreReport, error) {
-	check := func(f frontier, points []ChoicePoint) {
-		if n := preemptionsIn(points[:len(f.prefix)]); n != f.pre {
-			bad(f.prefix, f.pre, n)
-		}
-	}
+// exploreChecking runs Explore's search, or with dpor ExploreDPOR's, and
+// hands check each run's stack entry, result and decision log.
+func exploreChecking(p *Program, opts ExploreOptions, dpor bool, check func(f frontier, res *Result, g *Guided)) (*ExploreReport, error) {
 	if dpor {
-		return exploreDPORRuns(p, opts, func(r DPORRun, _ [][]trace.TID) { check(r.frontier, r.points) })
+		return exploreDPORRuns(p, opts, func(r DPORRun, _ [][]trace.TID) { check(r.frontier, r.res, &r.log) })
 	}
 	return exploreDFS(p, &opts, "explore",
-		func(f frontier, _ *Result, points []ChoicePoint, pre []int, push func(frontier), _ *flight.Track) {
-			check(f, points)
-			expandPrefixes(points, pre, len(f.prefix), opts.MaxPreemptions, push)
+		func(f frontier, res *Result, g *Guided, push func(frontier), _ *flight.Track) {
+			check(f, res, g)
+			expandPrefixes(g, f.pre, opts.MaxPreemptions, push)
 		})
 }
 
-// TestPreemptionPrefixMatchesNaive is the regression test for the
-// incremental preemption counting: on a deep synthetic decision path the
-// running counts, swept from the start or from a later point given the
-// count there, must agree with the quadratic recount at every index.
-func TestPreemptionPrefixMatchesNaive(t *testing.T) {
-	points := make([]ChoicePoint, 2000)
-	for i := range points {
-		cur := trace.TID(i % 3)
-		if i%17 == 0 {
-			cur = -1 // start-of-run style point
+// ExploreCarried runs Explore's search, or with dpor ExploreDPOR's, and
+// calls bad for every replay whose carried preemption count, which the
+// expansion that pushed its prefix computed, is not the preemptions the
+// runtime counted in the replay (Result.Stats.Preemptions). Past its
+// prefix a replay never preempts, so the two must agree.
+func ExploreCarried(p *Program, opts ExploreOptions, dpor bool, bad func(prefix []trace.TID, carried, counted int)) (*ExploreReport, error) {
+	return exploreChecking(p, opts, dpor, func(f frontier, res *Result, _ *Guided) {
+		if res != nil && res.Stats.Preemptions != f.pre {
+			bad(f.prefix, f.pre, res.Stats.Preemptions)
 		}
-		chosen := trace.TID((i + i/7) % 3)
-		points[i] = ChoicePoint{
-			Runnable: []trace.TID{0, 1, 2},
-			Chosen:   chosen,
-			Current:  cur,
-			EventIdx: i,
+	})
+}
+
+// replayFull replays prefix on r with a zero-value Guided, which records
+// every decision past its prefix as a point, and returns the result and
+// the log, valid until r's next replay.
+func (r *replayer) replayFull(p *Program, prefix []trace.TID) (*Result, *Guided) {
+	r.guided.Prefix, r.guided.spent = prefix, false
+	res, _ := r.rt.run(p, Options{Strategy: &r.guided, RecordTrace: true})
+	return res, &r.guided
+}
+
+// ExploreSettled runs Explore's search, or with dpor ExploreDPOR's, and
+// replays each run's prefix with a zero-value Guided (replayFull). It
+// calls bad for every way the search's log departs from that full log:
+// a path that differs, a recorded point that differs from the full log's
+// point at its decision, a full-log point that is not at its decision's
+// index past the prefix, and a full-log point the search's log lacks
+// that is a select, did not choose the thread that was running, lies in a
+// run with a preemption to spare, or has an alternative that fits the
+// bound.
+func ExploreSettled(p *Program, opts ExploreOptions, dpor bool, bad func(prefix []trace.TID, msg string)) (*ExploreReport, error) {
+	full := newReplayer()
+	defer full.rt.close()
+	return exploreChecking(p, opts, dpor, func(f frontier, res *Result, g *Guided) {
+		if res == nil {
+			return
 		}
-	}
-	var pre []int
-	for _, from := range []int{0, 1, 17, 1000, len(points)} {
-		pre = preemptionPrefix(pre, points, from, preemptionsIn(points[:from]))
-		for i := from; i <= len(points); i++ {
-			if want := preemptionsIn(points[:i]); pre[i] != want {
-				t.Fatalf("from %d: prefix[%d] = %d, naive = %d", from, i, pre[i], want)
+		_, all := full.replayFull(p, f.prefix)
+		if !slices.Equal(g.path, all.path) {
+			bad(f.prefix, fmt.Sprintf("path %v, the full log's %v", g.path, all.path))
+			return
+		}
+		rec := 0
+		for k := range all.Points {
+			pt := &all.Points[k]
+			if dp := int(pt.decision); dp != len(f.prefix)+k {
+				bad(f.prefix, fmt.Sprintf("full-log point %d is decision %d", k, dp))
+				return
+			}
+			if rec < len(g.Points) && g.Points[rec].decision == pt.decision {
+				if q := &g.Points[rec]; !reflect.DeepEqual(*q, *pt) {
+					bad(f.prefix, fmt.Sprintf("point %+v at decision %d, the full log's %+v", *q, pt.decision, *pt))
+				}
+				rec++
+				continue
+			}
+			switch {
+			case pt.Select:
+				bad(f.prefix, fmt.Sprintf("select at decision %d not recorded", pt.decision))
+			case pt.Chosen != pt.Current || !containsTID(pt.Runnable, pt.Current):
+				bad(f.prefix, fmt.Sprintf("decision %d chose T%d, not the running T%d, and was not recorded", pt.decision, pt.Chosen, pt.Current))
+			case f.pre < opts.MaxPreemptions:
+				bad(f.prefix, fmt.Sprintf("decision %d not recorded with %d of %d preemptions made", pt.decision, f.pre, opts.MaxPreemptions))
+			default:
+				for _, alt := range pt.Runnable {
+					cost := 0
+					if containsTID(pt.Runnable, pt.Current) && alt != pt.Current {
+						cost = 1
+					}
+					if alt != pt.Chosen && f.pre+cost <= opts.MaxPreemptions {
+						bad(f.prefix, fmt.Sprintf("decision %d not recorded, but T%d fits the bound there", pt.decision, alt))
+					}
+				}
 			}
 		}
-	}
+		if rec != len(g.Points) {
+			bad(f.prefix, fmt.Sprintf("%d recorded points, %d of them in the full log", len(g.Points), rec))
+		}
+	})
 }
 
 // TestExploreDeepDecisionTree drives the explorer over a deep tree (many

@@ -28,28 +28,20 @@ type Proc func(t *T)
 // run many times concurrently; all mutable state lives in the per-run
 // Runtime.
 type Program struct {
-	name      string
-	main      Proc
-	vars      []objDef
-	volatiles []objDef
-	mutexes   []objDef
-	conds     []condDef
-	chans     []chanDef
-}
-
-type objDef struct {
 	name string
-	init int64
+	main Proc
+	// The declared names by id, as Symbols holds them: each run's Symbols
+	// views them, capped so that an append to a view copies.
+	vars, volatiles, mutexes, chans []string
+	// varInits and volInits are the declared initial values.
+	varInits, volInits []int64
+	conds              []condDef
+	chanCaps           []int
 }
 
 type condDef struct {
 	name  string
 	mutex *Mutex
-}
-
-type chanDef struct {
-	name string
-	cap  int
 }
 
 // NewProgram returns an empty program with the given diagnostic name.
@@ -65,7 +57,8 @@ func (p *Program) SetMain(fn Proc) { p.main = fn }
 
 // Var declares a plain (unsynchronized) shared int64 variable.
 func (p *Program) Var(name string) *Var {
-	p.vars = append(p.vars, objDef{name: name})
+	p.vars = append(p.vars, name)
+	p.varInits = append(p.varInits, 0)
 	return &Var{id: uint64(len(p.vars) - 1), name: name}
 }
 
@@ -75,7 +68,7 @@ func (p *Program) Var(name string) *Var {
 // package-level initializer in translated source.
 func (p *Program) VarInit(name string, init int64) *Var {
 	v := p.Var(name)
-	p.vars[v.id].init = init
+	p.varInits[v.id] = init
 	return v
 }
 
@@ -93,7 +86,8 @@ func (p *Program) Vars(prefix string, n int) []*Var {
 // synchronization operations: they never race, but they are interference
 // points for cooperability.
 func (p *Program) Volatile(name string) *Volatile {
-	p.volatiles = append(p.volatiles, objDef{name: name})
+	p.volatiles = append(p.volatiles, name)
+	p.volInits = append(p.volInits, 0)
 	return &Volatile{id: uint64(len(p.volatiles) - 1), name: name}
 }
 
@@ -101,13 +95,13 @@ func (p *Program) Volatile(name string) *Volatile {
 // value; like VarInit, the initial value produces no event.
 func (p *Program) VolatileInit(name string, init int64) *Volatile {
 	v := p.Volatile(name)
-	p.volatiles[v.id].init = init
+	p.volInits[v.id] = init
 	return v
 }
 
 // Mutex declares a reentrant lock (Java monitor semantics).
 func (p *Program) Mutex(name string) *Mutex {
-	p.mutexes = append(p.mutexes, objDef{name: name})
+	p.mutexes = append(p.mutexes, name)
 	return &Mutex{id: uint64(len(p.mutexes) - 1), name: name}
 }
 
@@ -134,7 +128,8 @@ func (p *Program) Chan(name string, capacity int) *Chan {
 	if capacity < 0 {
 		panic(fmt.Sprintf("sched: channel %q has negative capacity %d", name, capacity))
 	}
-	p.chans = append(p.chans, chanDef{name: name, cap: capacity})
+	p.chans = append(p.chans, name)
+	p.chanCaps = append(p.chanCaps, capacity)
 	return &Chan{id: uint64(len(p.chans) - 1), name: name, cap: capacity}
 }
 

@@ -152,9 +152,10 @@ type SchedStats struct {
 	// wakes: every switch but main's first turn, which run's caller takes
 	// without one.
 	DirectHandoffs int
-	// ElidedParks counts scheduling points at which the strategy was
-	// consulted but the running thread kept the baton with zero channel
-	// operations.
+	// ElidedParks counts scheduling points that reached the strategy's
+	// Pick, which kept the running thread, so that it kept the baton with
+	// zero channel operations. A decision the strategy settles in Preempt
+	// (Guided's forced ones) reaches no Pick and is not counted.
 	ElidedParks int
 	// LocCacheHits counts location captures answered by the PC cache;
 	// LocCacheMisses counts captures of a PC new to the cache, which an
@@ -402,7 +403,7 @@ func (rt *Runtime) reset(p *Program, opts Options) {
 	}
 	for i := range rt.chs {
 		ch := &rt.chs[i]
-		*ch = chanState{cap: p.chans[i].cap, buf: ch.buf[:0], pending: ch.pending[:0]}
+		*ch = chanState{cap: p.chanCaps[i], buf: ch.buf[:0], pending: ch.pending[:0]}
 	}
 	rt.log.reset()
 	if rt.maxEvents <= 0 {
@@ -435,21 +436,18 @@ func (rt *Runtime) run(p *Program, opts Options) (*Result, error) {
 	rt.strings.Grow(len(rt.locs.names))
 	// Declared initial values are pre-run state, not events: nothing is
 	// emitted for them (translated package-level initializers rely on this).
-	rt.vals = make([]int64, len(p.vars))
-	for i := range rt.vals {
-		rt.vals[i] = p.vars[i].init
-	}
-	rt.volVals = make([]int64, len(p.volatiles))
-	for i := range rt.volVals {
-		rt.volVals[i] = p.volatiles[i].init
-	}
+	// Both kinds share one allocation.
+	nv := len(p.varInits)
+	vals := make([]int64, nv+len(p.volInits))
+	copy(vals[copy(vals, p.varInits):], p.volInits)
+	rt.vals, rt.volVals = vals[:nv:nv], vals[nv:]
 	rt.symbols = &Symbols{
-		Vars:      names(p.vars),
-		Volatiles: names(p.volatiles),
-		Mutexes:   names(p.mutexes),
+		Vars:      capped(p.vars),
+		Volatiles: capped(p.volatiles),
+		Mutexes:   capped(p.mutexes),
 		Methods:   make([]string, 0, methods),
 		Threads:   make([]string, 0, cap(rt.threads)),
-		Chans:     chanNames(p.chans),
+		Chans:     capped(p.chans),
 	}
 	if opts.RecordTrace {
 		rt.tr = &trace.Trace{Strings: rt.strings}
@@ -522,21 +520,9 @@ func (rt *Runtime) run(p *Program, opts Options) (*Result, error) {
 	return res, err
 }
 
-func names(defs []objDef) []string {
-	out := make([]string, len(defs))
-	for i, d := range defs {
-		out[i] = d.name
-	}
-	return out
-}
-
-func chanNames(defs []chanDef) []string {
-	out := make([]string, len(defs))
-	for i, d := range defs {
-		out[i] = d.name
-	}
-	return out
-}
+// capped returns s with its capacity cut to its length, so that an append
+// to the view copies instead of writing into s's array.
+func capped[E any](s []E) []E { return s[:len(s):len(s)] }
 
 // spawn sets up a thread record, recycling an earlier run's record of the
 // same id. A new record but main's starts its goroutine, which parks until
@@ -976,8 +962,11 @@ func (rt *Runtime) emit(t *thread, op trace.Op, target uint64, loc trace.LocID) 
 	// The strategy is always consulted (replay counts events in Preempt),
 	// but a thread is never parked on its end event: it is about to hand
 	// the baton back permanently, and parking it would consume a scheduling
-	// slot that recorded schedules do not contain.
-	if rt.strat.Preempt(e) && op != trace.OpEnd {
+	// slot that recorded schedules do not contain. A thread whose op failed
+	// (rt.err is set) and whose defers emit still ends the run at its first
+	// such event, however the strategy answers: a replay, which is asked
+	// after every event, ends it there.
+	if (rt.strat.Preempt(e) || rt.err != nil) && op != trace.OpEnd {
 		rt.handoff(t, true)
 	}
 }

@@ -325,17 +325,36 @@ func (s *Replay) Choose(ready []int) int {
 // like Cooperative's deterministic policy, preferring to keep the current
 // thread running. Unlike Replay (one decision per event), Guided makes one
 // decision per *scheduling point*, which is what the exhaustive explorer
-// enumerates. It records every decision it takes.
+// enumerates.
+//
+// Preempt settles every forced decision itself, so it never reaches Pick:
+// one that lies in the prefix when the prefix keeps the thread that just
+// emitted, and one past the prefix when the run has no preemption left.
+// Past its prefix Guided never preempts, so a run's spare preemptions stay
+// what its prefix left; the explorers tell it whether none are left.
+// Guided records a point for every decision its Pick or Choose takes past
+// the prefix, and the run's path: the choice of every decision past the
+// prefix, so the decisions before index d are Prefix followed by
+// path[:d-len(Prefix)]. A zero-value Guided records every decision past
+// its prefix.
 type Guided struct {
 	// Prefix holds forced choices for the first scheduling points.
 	Prefix []trace.TID
 
+	// spent reports that the run has no preemption left past its prefix,
+	// so a decision there that follows an event keeps the emitting thread
+	// and cannot branch. The explorers set it before each run; Reset keeps
+	// it.
+	spent bool
+
 	cursor int
 	events int
-	// Points records (runnable set, choice) at every scheduling point. It
-	// and its Runnable sets are valid until the next Reset, which reuses
-	// their arrays for the next run.
+	// Points records (runnable set, choice) at every scheduling point its
+	// Pick or Choose decides past the prefix. It, its Runnable sets and path
+	// are valid until the next Reset, which reuses their arrays for the next
+	// run.
 	Points []ChoicePoint
+	path   []trace.TID
 
 	// arena backs the Runnable copies of this run's Points. Each copy is a
 	// capacity-capped window of it, so appending to one point's Runnable
@@ -344,10 +363,15 @@ type Guided struct {
 	arena []trace.TID
 }
 
-// record appends cp with the arena's tail from i as its Runnable.
+// record takes the decision at the cursor past the prefix: it appends cp
+// to Points, with the arena's tail from i as its Runnable, and its choice
+// to the path.
 func (s *Guided) record(i int, cp ChoicePoint) {
 	cp.Runnable = s.arena[i:len(s.arena):len(s.arena)]
+	cp.decision = int32(s.cursor)
+	s.cursor++
 	s.Points = append(s.Points, cp)
+	s.path = append(s.path, cp.Chosen)
 }
 
 // ChoicePoint is one scheduling decision: what was runnable and what ran.
@@ -362,10 +386,14 @@ type ChoicePoint struct {
 	// EventIdx is the number of events already executed when the decision
 	// was taken, i.e. the index of the next event. Several points may share
 	// an EventIdx when picked threads block without emitting; the last one
-	// scheduled the thread that produced the event.
+	// scheduled the thread that produced the event. A decision Preempt
+	// settles follows an event, so it is the first at its EventIdx, and a
+	// later pick there supersedes it.
 	EventIdx int
 	// Select marks a select-case decision rather than a thread pick.
 	Select bool
+	// decision is the point's index in the run's decision sequence.
+	decision int32
 }
 
 // Name implements Strategy.
@@ -374,34 +402,50 @@ func (s *Guided) Name() string { return "guided" }
 // Seed implements Strategy.
 func (s *Guided) Seed() int64 { return 0 }
 
-// Reset implements Strategy. It truncates Points and the arena and keeps
-// their arrays for the next run, so a caller that needs a run's Points
-// past the next Reset must copy them.
+// Reset implements Strategy. It truncates Points, the path and the arena
+// and keeps their arrays for the next run, so a caller that needs a run's
+// Points past the next Reset must copy them.
 func (s *Guided) Reset() {
 	s.cursor = 0
 	s.events = 0
-	s.Points, s.arena = s.Points[:0], s.arena[:0]
+	s.Points, s.path, s.arena = s.Points[:0], s.path[:0], s.arena[:0]
 }
 
-// Preempt implements Strategy: every event is a scheduling point, so the
-// explorer can consider a switch anywhere.
+// Preempt implements Strategy: every event is a scheduling point, and
+// Preempt settles the decision after e in place when it is forced (see
+// Guided), keeping e's thread running. An end event's decision is left to
+// Pick: the runtime never parks a thread on its end.
 func (s *Guided) Preempt(e trace.Event) bool {
 	s.events++
-	return true
+	switch {
+	case e.Op == trace.OpEnd:
+		return true
+	case s.cursor < len(s.Prefix):
+		if s.Prefix[s.cursor] != e.Tid {
+			return true
+		}
+	case !s.spent:
+		return true
+	default:
+		s.path = append(s.path, e.Tid)
+	}
+	s.cursor++
+	return false
 }
 
 // Pick implements Strategy. The recorded Runnable is a copy of runnable,
-// which Strategy's contract delivers sorted ascending.
+// which Strategy's contract delivers sorted ascending. Every pick past the
+// prefix is recorded, even one with a single runnable thread: it may
+// supersede an earlier point at its EventIdx.
 func (s *Guided) Pick(runnable []trace.TID, current trace.TID) trace.TID {
-	var choice trace.TID
 	if s.cursor < len(s.Prefix) {
-		choice = s.Prefix[s.cursor]
-	} else if containsTID(runnable, current) {
-		choice = current
-	} else {
-		choice = runnable[0]
+		s.cursor++
+		return s.Prefix[s.cursor-1]
 	}
-	s.cursor++
+	choice := runnable[0]
+	if containsTID(runnable, current) {
+		choice = current
+	}
 	i := len(s.arena)
 	s.arena = append(s.arena, runnable...)
 	s.record(i, ChoicePoint{Chosen: choice, Current: current, EventIdx: s.events})
@@ -414,15 +458,24 @@ func (s *Guided) Pick(runnable []trace.TID, current trace.TID) trace.TID {
 // a select commit. Unforced selects take the lowest ready index
 // (deterministic, mirroring Pick's current-then-lowest policy).
 func (s *Guided) Choose(ready []int) int {
-	choice := ready[0]
 	if s.cursor < len(s.Prefix) {
-		choice = int(s.Prefix[s.cursor])
+		s.cursor++
+		return int(s.Prefix[s.cursor-1])
 	}
-	s.cursor++
 	i := len(s.arena)
 	for _, r := range ready {
 		s.arena = append(s.arena, trace.TID(r))
 	}
-	s.record(i, ChoicePoint{Chosen: trace.TID(choice), Current: -1, EventIdx: s.events, Select: true})
-	return choice
+	s.record(i, ChoicePoint{Chosen: trace.TID(ready[0]), Current: -1, EventIdx: s.events, Select: true})
+	return ready[0]
+}
+
+// prefixAt returns the forced-decision prefix that repeats the run's
+// decisions before decision dp, which lies past Prefix, and decides t
+// there.
+func (s *Guided) prefixAt(dp int, t trace.TID) []trace.TID {
+	np := make([]trace.TID, dp+1)
+	copy(np[copy(np, s.Prefix):], s.path)
+	np[dp] = t
+	return np
 }

@@ -39,10 +39,11 @@ func main() {
 		// One batched scan feeds both checkers (sched.FeedTrace), matching
 		// the fused Table 3 pipeline instead of two per-checker scans.
 		az := atom.New(atom.Options{MethodsAtomic: *methods})
-		vc := velodrome.New(velodrome.Options{MethodsAtomic: *methods})
+		vc := velodrome.Borrow(velodrome.Options{MethodsAtomic: *methods})
 		sched.FeedTrace(tr, az, vc)
 		velo := vc.Violations()
 		vc.FlushMetrics(len(velo))
+		vc.Release()
 		fmt.Printf("schedule %d (%s): atomizer %d violation(s), velodrome %d unserializable\n",
 			i, tr.Meta.Strategy, len(az.Violations()), len(velo))
 		for _, v := range az.Violations() {

@@ -42,12 +42,12 @@ type FusedRunner struct{}
 // checker instances are the live analyses — read their accessors exactly
 // as if each had run alone via its package Analyze function.
 type FusedAnalysis struct {
-	Race      *race.Detector
-	Lockset   *lockset.Checker
-	Atom      *atom.Checker
-	Velodrome *velodrome.Checker
-	// VeloViolations caches Velodrome.Violations() (the Tarjan pass runs
-	// once, here).
+	Race    *race.Detector
+	Lockset *lockset.Checker
+	Atom    *atom.Checker
+	// VeloViolations is Velodrome's result. Its checker is borrowed for
+	// pass 1 and released once the violations and metrics are read
+	// (velodrome.Borrow), so it is not kept here.
 	VeloViolations []velodrome.Violation
 	// Coop is the two-pass cooperability checker under the default policy
 	// with no yield set — the "coop-before" column.
@@ -69,13 +69,14 @@ func (FusedRunner) Analyze(tr *trace.Trace) *FusedAnalysis {
 
 	d := race.New()
 	ls := lockset.New()
-	vc := velodrome.New(velodrome.Options{MethodsAtomic: true})
+	vc := velodrome.Borrow(velodrome.Options{MethodsAtomic: true})
 	sp1 := mFusedPass1.Begin(ftr, 0, flight.A("events", int64(tr.Len())))
 	sched.FeedTrace(tr, d, ls, vc)
 	vios := vc.Violations()
 	d.FlushMetrics()
 	ls.FlushMetrics()
 	vc.FlushMetrics(len(vios))
+	vc.Release()
 	sp1.End()
 
 	known := d.RacyVarSet()
@@ -90,7 +91,6 @@ func (FusedRunner) Analyze(tr *trace.Trace) *FusedAnalysis {
 		Race:           d,
 		Lockset:        ls,
 		Atom:           ac,
-		Velodrome:      vc,
 		VeloViolations: vios,
 		Coop:           coop,
 		KnownRaces:     known,

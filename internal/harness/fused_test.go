@@ -69,14 +69,15 @@ func diffWindows(t *testing.T, label string, tr *trace.Trace, n int) {
 		}
 	}
 	d, ls := race.New(), lockset.New()
-	vc := velodrome.New(velodrome.Options{MethodsAtomic: true})
+	vc := velodrome.Borrow(velodrome.Options{MethodsAtomic: true})
+	defer vc.Release()
 	feed(d, ls, vc)
 	known := d.RacyVarSet()
 	ac := atom.New(atom.Options{MethodsAtomic: true, RaceOnsets: d.RaceOnsets()})
 	coop := core.New(core.Options{Policy: movers.DefaultPolicy(), KnownRaces: known})
 	feed(ac, coop)
 	fa := &FusedAnalysis{
-		Race: d, Lockset: ls, Atom: ac, Velodrome: vc,
+		Race: d, Lockset: ls, Atom: ac,
 		VeloViolations: vc.Violations(), Coop: coop, KnownRaces: known,
 	}
 	diffAnalysis(t, label, fa, analyzeLegacy(tr))

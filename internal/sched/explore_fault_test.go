@@ -3,11 +3,13 @@ package sched
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/obs/flight"
 	"repro/internal/trace"
 )
 
@@ -118,6 +120,104 @@ func TestExplorePanicErrorShape(t *testing.T) {
 	if _, ok := rerr.(*ExploreError); !ok { //nolint:errorlint
 		t.Fatalf("replaying the crash prefix gave %v, want *ExploreError", rerr)
 	}
+}
+
+// TestExplorePanicOutsideThreads reaches replayPrefix's own recover, which
+// catches a panic on Runtime.run's caller outside every virtual thread,
+// where the runtime's recover does not reach. A program that declares a
+// channel with no chanCaps entry makes Runtime.reset panic: Visit deletes
+// the entry after the first run, which has started the thread goroutines,
+// and puts it back once the second run's panic has reached it. The panic
+// must become an *ExploreError carrying the run's prefix and a stack
+// through reset, counted in ExploreReport.Panics, and the search ends with
+// StatusPanic instead of StatusComplete. Its run recorded no
+// decision, so the search expands nothing from it and goes on with the
+// rest of its stack: it visits the unbroken search's runs minus the second
+// run's subtree, whose prefixes all extend the second run's, and each with
+// the same result. No goroutine leaks, and inside Visit the process holds
+// one goroutine per thread record but main's throughout.
+func TestExplorePanicOutsideThreads(t *testing.T) {
+	build := func() *Program {
+		p := incrementers()
+		p.Chan("c", 0)
+		return p
+	}
+	// run is one visited replay: its prefix and its result's event count,
+	// -1 for a run with no result.
+	type run struct {
+		prefix []trace.TID
+		events int
+	}
+	search := func(p *Program, visit func(*Result, error) bool) (*ExploreReport, []run) {
+		var runs []run
+		events := 0
+		opts := ExploreOptions{MaxRuns: 4000, MaxPreemptions: 2, Visit: func(res *Result, err error) bool {
+			events = -1
+			if res != nil {
+				events = res.Events
+			}
+			return visit(res, err)
+		}}
+		rep, err := exploreDFS(p, &opts, "explore", func(f frontier, _ *Result, g *Guided, push func(frontier), _ *flight.Track) {
+			runs = append(runs, run{slices.Clone(f.prefix), events})
+			expandPrefixes(g, f.pre, opts.MaxPreemptions, push)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, runs
+	}
+	_, want := search(build(), func(*Result, error) bool { return true })
+	if len(want) < 3 {
+		t.Fatalf("the search runs %d schedules; the test needs three", len(want))
+	}
+
+	requireNoGoroutineLeak(t, func(base int) {
+		p := build()
+		caps := p.chanCaps
+		var got *ExploreError
+		visits := 0
+		rep, runs := search(p, countThreadGoroutines(t, base, func(res *Result, err error) bool {
+			switch visits++; visits {
+			case 1:
+				p.chanCaps = nil
+			case 2:
+				p.chanCaps = caps
+				got, _ = err.(*ExploreError) //nolint:errorlint // replayPrefix returns it unwrapped
+				if res != nil || got == nil {
+					t.Errorf("second run: result %v, error %v; want no result and an *ExploreError", res, err)
+				}
+			}
+			return true
+		}))
+		if t.Failed() {
+			return
+		}
+		if !slices.Equal(got.Prefix, want[1].prefix) {
+			t.Errorf("ExploreError.Prefix = %v, want the second run's %v", got.Prefix, want[1].prefix)
+		}
+		if !strings.Contains(fmt.Sprint(got.Panic), "index out of range") || !strings.Contains(string(got.Stack), "(*Runtime).reset") {
+			t.Errorf("panic %v with stack\n%s\nwant an index panic in Runtime.reset", got.Panic, got.Stack)
+		}
+		if rep.Panics != 1 || rep.Runs != len(runs) || rep.Status != StatusPanic {
+			t.Errorf("report %+v after %d visits; want one panic, a run per visit, status %s", rep, len(runs), StatusPanic)
+		}
+		var rest []run
+		for i, r := range want {
+			if i == 1 {
+				r.events = -1
+			} else if len(r.prefix) > len(want[1].prefix) && slices.Equal(r.prefix[:len(want[1].prefix)], want[1].prefix) {
+				continue
+			}
+			rest = append(rest, r)
+		}
+		if len(rest) == len(want) {
+			t.Fatal("the second run has no subtree to skip")
+		}
+		if !reflect.DeepEqual(runs, rest) {
+			t.Errorf("the search visited %v, want %v", runs, rest)
+		}
+	})
 }
 
 // TestExploreMaxStatesPrefix: a state-budget cutoff visits exactly a

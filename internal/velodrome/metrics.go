@@ -31,10 +31,7 @@ type flushedCounts struct {
 // contract (DESIGN.md "Observability") is that a checker's counters reflect
 // each analysis exactly once no matter how many times it flushes.
 func (c *Checker) FlushMetrics(violations int) {
-	if c.flushed == nil {
-		c.flushed = &flushedCounts{}
-	}
-	f := c.flushed
+	f := &c.flushed
 	mCheckerEvents.Add(int64(c.events - f.events))
 	mEvents.Add(int64(c.events - f.events))
 	mNodes.Add(int64(len(c.nodes) - f.nodes))

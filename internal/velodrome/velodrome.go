@@ -15,35 +15,48 @@
 // State layout follows the dense-checker design (DESIGN.md, "Analysis state
 // layout"): nodes are values in one slice (ids are indices), successor
 // edges live in a shared arena as per-node linked lists (the former
-// per-node map allocated on every non-transactional event), per-thread
-// open-node/depth/last-node state is TID-indexed, and the last-writer /
-// last-readers / last-release communication indexes are paged tables keyed
-// by the near-dense target ids. Violation output is byte-identical to the
-// former map-based layout.
+// per-node map allocated on every non-transactional event) that hold each
+// (source, target) pair once (addEdge), per-thread open-node/depth/last-node
+// state is TID-indexed, and the last-writer / last-release / last-chan
+// communication indexes are paged tables keyed by the near-dense target
+// ids, with each variable's readers in a shared arena. A checker taken
+// with Borrow keeps all of that storage from one trace to the next.
+// Violation output is byte-identical to the former map-based layout.
 package velodrome
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/dense"
 	"repro/internal/trace"
 )
 
-// node is one transaction instance (or a unary non-transactional event
-// run). Node ids are indices into Checker.nodes.
-// varComm is one variable's communication state: the last writer node and
-// the reader nodes since that write (node ids stored +1; zero = none).
+// varComm is one variable's communication state: the last writer node
+// (id +1; zero = none) and the list of reader nodes since that write (the
+// index +1 of its newest cell in Checker.readers; zero = empty).
 type varComm struct {
 	write int32
-	reads []int32
+	reads int32
 }
 
+// reader is one reader-list cell in the shared reader arena.
+type reader struct {
+	node int32
+	next int32 // index +1 of the next older cell; zero ends the list
+}
+
+// node is one transaction instance (or a unary non-transactional event
+// run). Node ids are indices into Checker.nodes.
 type node struct {
-	tid   trace.TID
-	start int   // first event index
-	end   int   // last event index (-1 while open)
-	inTx  bool  // true when this node is a declared atomic block
-	edge  int32 // head of its successor list in Checker.edges; -1 = none
+	start int // first event index
+	// linked has bit t set while this node has an edge into thread t's
+	// open node (t < 64; see addEdge).
+	linked uint64
+	tid    trace.TID
+	edge   int32 // head of its successor list in Checker.edges; -1 = none
+	inTx   bool  // true when this node is a declared atomic block
 }
 
 // edge is one successor-list cell in the shared edge arena.
@@ -77,7 +90,7 @@ type Options struct {
 }
 
 // Checker builds the transactional happens-before graph online and detects
-// cycles at Report time. It implements sched.Observer.
+// cycles when Violations is called. It implements sched.Observer.
 type Checker struct {
 	opts  Options
 	nodes []node
@@ -87,6 +100,10 @@ type Checker struct {
 	current  []int32 // open node per thread
 	depth    []int32 // nesting depth of atomic regions per thread
 	lastNode []int32 // last closed node per thread (fork/join edges)
+	// into lists, per thread, the sources of the edges into its open node
+	// (plain node ids), so that closing the node can clear their linked
+	// bits.
+	into [][]int32
 	// Communication indexes, storing node ids +1 (zero = none). Lock and
 	// variable ids are near-dense; runtime volatile ids (offset by 1<<32)
 	// land in the tables' overflow maps.
@@ -99,22 +116,86 @@ type Checker struct {
 	lastChan dense.Table[int32]
 	// vars holds per-variable communication state — the last writer node
 	// and the reader nodes since that write — in ONE table slot, so the
-	// access hot path pays a single paged lookup instead of two. Cleared
-	// reader slices keep their storage for reuse.
-	vars   dense.Table[varComm]
-	events int
-	blocks int
+	// access hot path pays a single paged lookup instead of two. The
+	// reader lists live in one arena, so a slot holds no pointer; a write
+	// moves its variable's cells to the free list (head index +1 in
+	// free), which later reads take from first.
+	vars    dense.Table[varComm]
+	readers []reader
+	free    int32
+	events  int
+	blocks  int
 
-	// Flush high-water marks: what FlushMetrics already published, so
-	// repeated flushes only add deltas. Behind a pointer (allocated by the
-	// first flush) to keep the Checker in its 288-byte allocation class —
-	// inlining the four ints measurably slows the per-event benchmarks.
-	flushed *flushedCounts
+	// index and low are Tarjan's per-node scratch, kept for the next
+	// Violations; frames and stack are its work lists.
+	index, low []int32
+	frames     []frame
+	stack      []int32
+
+	// flushed is what FlushMetrics already published, so repeated flushes
+	// only add deltas.
+	flushed flushedCounts
 }
 
 // New returns an empty checker.
 func New(opts Options) *Checker {
 	return &Checker{opts: opts}
+}
+
+// pool holds the checkers Borrow hands out.
+var pool = sync.Pool{New: func() any { return new(Checker) }}
+
+// Borrow returns an empty checker, as New does, taken from a pool: its
+// graph arenas, per-thread slices, communication tables and Tarjan scratch
+// keep the storage an earlier trace grew them to, so a caller that
+// analyzes one trace after another allocates them once. Read its results,
+// Violations and FlushMetrics included, then hand it back with Release.
+func Borrow(opts Options) *Checker {
+	c := pool.Get().(*Checker)
+	c.opts = opts
+	return c
+}
+
+// Release empties c and returns it to Borrow's pool. c must not be used
+// afterwards; the Violations it returned stay valid.
+func (c *Checker) Release() {
+	c.reset()
+	pool.Put(c)
+}
+
+// reset returns c to the state New leaves it in, keeping its storage. Its
+// cost is what the last trace touched: the graph arenas are truncated, the
+// per-thread slices cleared up to the threads it named, and each table
+// zeroes only its slots below the largest key the trace wrote
+// (dense.Table.Clear).
+func (c *Checker) reset() {
+	clear(c.current)
+	clear(c.depth)
+	clear(c.lastNode)
+	for i := range c.into {
+		c.into[i] = c.into[i][:0]
+	}
+	c.lastRelease.Clear()
+	c.lastVolWrite.Clear()
+	c.lastChan.Clear()
+	c.vars.Clear()
+	*c = Checker{
+		nodes:        c.nodes[:0],
+		edges:        c.edges[:0],
+		current:      c.current[:0],
+		depth:        c.depth[:0],
+		lastNode:     c.lastNode[:0],
+		into:         c.into[:0],
+		lastRelease:  c.lastRelease,
+		lastVolWrite: c.lastVolWrite,
+		lastChan:     c.lastChan,
+		vars:         c.vars,
+		readers:      c.readers[:0],
+		index:        c.index,
+		low:          c.low,
+		frames:       c.frames[:0],
+		stack:        c.stack[:0],
+	}
 }
 
 // growTID ensures the per-thread slices cover tid. The common no-grow case
@@ -126,22 +207,23 @@ func (c *Checker) growTID(ti int) {
 	c.growTIDSlow(ti)
 }
 
+// growTIDSlow extends the per-thread slices to cover ti. Past their length
+// they are zero: fresh, or cleared by reset.
 func (c *Checker) growTIDSlow(ti int) {
 	n := ti + 1
-	if n < cap(c.current) {
-		c.current = c.current[:n]
-		c.depth = c.depth[:n]
-		c.lastNode = c.lastNode[:n]
-		return
+	c.current = extend(c.current, n)
+	c.depth = extend(c.depth, n)
+	c.lastNode = extend(c.lastNode, n)
+	c.into = extend(c.into, n)
+}
+
+func extend[E any](s []E, n int) []E {
+	if n <= cap(s) {
+		return s[:n]
 	}
-	grow := func(s []int32) []int32 {
-		g := make([]int32, n, 2*n)
-		copy(g, s)
-		return g
-	}
-	c.current = grow(c.current)
-	c.depth = grow(c.depth)
-	c.lastNode = grow(c.lastNode)
+	g := make([]E, n, 2*n)
+	copy(g, s)
+	return g
 }
 
 // cur returns the id of the open node for t, creating a non-transactional
@@ -153,37 +235,59 @@ func (c *Checker) cur(t trace.TID, idx int, inTx bool) int32 {
 		return id - 1
 	}
 	id := int32(len(c.nodes))
-	c.nodes = append(c.nodes, node{tid: t, start: idx, end: -1, inTx: inTx, edge: -1})
+	c.nodes = append(c.nodes, node{tid: t, start: idx, inTx: inTx, edge: -1})
 	c.current[ti] = id + 1
 	// Program order: previous node of this thread precedes this one.
 	if prev := c.lastNode[ti]; prev != 0 {
-		c.addEdge(prev-1, id)
+		c.addEdge(prev-1, id, ti)
 	}
 	return id
 }
 
-// closeNode ends the open node of t.
-func (c *Checker) closeNode(t trace.TID, idx int) {
+// closeNode ends the open node of t, forgetting which sources link into
+// it: no edge into a closed node is ever added.
+func (c *Checker) closeNode(t trace.TID) {
 	ti := int(t)
 	c.growTID(ti)
 	id := c.current[ti]
 	if id == 0 {
 		return
 	}
-	c.nodes[id-1].end = idx
+	if len(c.into[ti]) > 0 {
+		if ti < 64 {
+			for _, s := range c.into[ti] {
+				c.nodes[s].linked &^= 1 << ti
+			}
+		}
+		c.into[ti] = c.into[ti][:0]
+	}
 	c.lastNode[ti] = id
 	c.current[ti] = 0
 }
 
-// addEdge adds from -> to (by node id), ignoring self-edges. Duplicate
-// edges are tolerated: Tarjan visits each edge once, so duplicates cost a
-// little memory but never extra traversal complexity — unlike the former
-// per-node successor maps, which paid an allocation per node to dedup.
-func (c *Checker) addEdge(from, to int32) {
+// addEdge adds from -> to, where to is the node open on thread ti, unless
+// it is a self-edge or already in the graph. Every edge points into the
+// node open on the thread whose event draws it, so an edge can repeat only
+// while its target is open, and into[ti] lists the sources that already
+// link into it; a source's linked bit answers membership in O(1). Most
+// edges repeat a pair: a transaction that reads many variables one node
+// wrote draws that edge once per read. Threads from the 64th on, which
+// have no bit, scan into[ti] instead.
+func (c *Checker) addEdge(from, to int32, ti int) {
 	if from == to {
 		return
 	}
 	n := &c.nodes[from]
+	if ti < 64 {
+		bit := uint64(1) << ti
+		if n.linked&bit != 0 {
+			return
+		}
+		n.linked |= bit
+	} else if slices.Contains(c.into[ti], from) {
+		return
+	}
+	c.into[ti] = append(c.into[ti], from)
 	c.edges = append(c.edges, edge{to: to, next: n.edge})
 	n.edge = int32(len(c.edges) - 1)
 }
@@ -192,27 +296,27 @@ func (c *Checker) addEdge(from, to int32) {
 func (c *Checker) Event(e trace.Event) {
 	c.events++
 	t := e.Tid
+	ti := int(t)
 
 	enter := e.Op == trace.OpAtomicBegin || (c.opts.MethodsAtomic && e.Op == trace.OpEnter)
 	exit := e.Op == trace.OpAtomicEnd || (c.opts.MethodsAtomic && e.Op == trace.OpExit)
 	switch {
 	case enter:
-		c.growTID(int(t))
+		c.growTID(ti)
 		if c.depth[t] == 0 {
 			// Close any non-transactional run and open a transaction node.
-			c.closeNode(t, e.Idx)
-			id := c.cur(t, e.Idx, true)
-			c.nodes[id].inTx = true
+			c.closeNode(t)
+			c.cur(t, e.Idx, true)
 			c.blocks++
 		}
 		c.depth[t]++
 		return
 	case exit:
-		c.growTID(int(t))
+		c.growTID(ti)
 		if c.depth[t] > 0 {
 			c.depth[t]--
 			if c.depth[t] == 0 {
-				c.closeNode(t, e.Idx)
+				c.closeNode(t)
 			}
 		}
 		return
@@ -223,7 +327,7 @@ func (c *Checker) Event(e trace.Event) {
 	switch e.Op {
 	case trace.OpAcquire:
 		if prev := *c.lastRelease.At(e.Target); prev != 0 {
-			c.addEdge(prev-1, id)
+			c.addEdge(prev-1, id, ti)
 		}
 	case trace.OpRelease, trace.OpWait:
 		*c.lastRelease.At(e.Target) = id + 1
@@ -231,12 +335,12 @@ func (c *Checker) Event(e trace.Event) {
 		*c.lastVolWrite.At(e.Target) = id + 1
 	case trace.OpVolRead:
 		if prev := *c.lastVolWrite.At(e.Target); prev != 0 {
-			c.addEdge(prev-1, id)
+			c.addEdge(prev-1, id, ti)
 		}
 	case trace.OpSend, trace.OpRecv, trace.OpClose:
 		p := c.lastChan.At(trace.ChanID(e.Target))
 		if prev := *p; prev != 0 {
-			c.addEdge(prev-1, id)
+			c.addEdge(prev-1, id, ti)
 		}
 		*p = id + 1
 	case trace.OpFork:
@@ -250,19 +354,19 @@ func (c *Checker) Event(e trace.Event) {
 		child := int(trace.TID(e.Target))
 		c.growTID(child)
 		if prev := c.lastNode[child]; prev != 0 {
-			c.addEdge(prev-1, id)
+			c.addEdge(prev-1, id, ti)
 		}
 	case trace.OpRead, trace.OpWrite:
 		c.access(e, id)
 	case trace.OpEnd:
-		c.closeNode(t, e.Idx)
+		c.closeNode(t)
 	}
 
 	// Outside transactions, every event is its own unary node so that
 	// non-transactional communication cannot fabricate cycles through an
 	// artificial grouping.
 	if !c.nodes[id].inTx {
-		c.closeNode(t, e.Idx)
+		c.closeNode(t)
 	}
 }
 
@@ -270,20 +374,36 @@ func (c *Checker) Event(e trace.Event) {
 // write→read and write→write edges from the last writer, read→write edges
 // from the readers since it. Shared between Event and the batch fast path.
 func (c *Checker) access(e trace.Event, id int32) {
+	ti := int(e.Tid)
 	v := c.vars.At(e.Target)
 	if v.write != 0 {
-		c.addEdge(v.write-1, id)
+		c.addEdge(v.write-1, id, ti)
 	}
 	if e.Op == trace.OpRead {
-		if !containsNode(v.reads, id) {
-			v.reads = append(v.reads, id)
+		for i := v.reads; i != 0; i = c.readers[i-1].next {
+			if c.readers[i-1].node == id {
+				return
+			}
+		}
+		cell := reader{node: id, next: v.reads}
+		if i := c.free; i != 0 {
+			c.free = c.readers[i-1].next
+			c.readers[i-1] = cell
+			v.reads = i
+		} else {
+			c.readers = append(c.readers, cell)
+			v.reads = int32(len(c.readers))
 		}
 		return
 	}
-	for _, r := range v.reads {
-		c.addEdge(r, id)
+	for i := v.reads; i != 0; {
+		r := &c.readers[i-1]
+		c.addEdge(r.node, id, ti)
+		if i = r.next; i == 0 {
+			r.next, c.free = c.free, v.reads
+		}
 	}
-	v.reads = v.reads[:0] // clear, keeping storage
+	v.reads = 0
 	v.write = id + 1
 }
 
@@ -314,16 +434,11 @@ func (c *Checker) ObserveBatch(batch []trace.Event) {
 	}
 }
 
-// containsNode reports whether id is already in the reader list; lists are
-// short (cleared on every write), so a linear scan replaces the former
-// per-variable set map.
-func containsNode(rs []int32, id int32) bool {
-	for _, r := range rs {
-		if r == id {
-			return true
-		}
-	}
-	return false
+// frame is one node of Tarjan's depth-first walk and the next cell of its
+// successor list to visit (-1 when exhausted).
+type frame struct {
+	v    int32
+	iter int32
 }
 
 // Violations finds unserializable transactions: transactional nodes lying
@@ -333,38 +448,32 @@ func (c *Checker) Violations() []Violation {
 	// Close any still-open nodes.
 	for ti := range c.current {
 		if c.current[ti] != 0 {
-			c.closeNode(trace.TID(ti), c.events)
+			c.closeNode(trace.TID(ti))
 		}
 	}
 	n := len(c.nodes)
-	index := make([]int32, n)
-	low := make([]int32, n)
-	onStack := make([]bool, n)
+	c.index = extend(c.index[:0], n)
+	c.low = extend(c.low[:0], n)
+	index, low := c.index, c.low
 	for i := range index {
 		index[i] = -1
 	}
-	var stack []int32
+	stack, frames := c.stack[:0], c.frames[:0]
 	var counter int32
-	sccID := make([]int32, n)
-	var sccSize []int32
 
 	// Iterative Tarjan to survive deep graphs; the successor iterator walks
 	// the edge arena's linked list directly, so no adjacency slices are
-	// built.
-	type frame struct {
-		v    int32
-		iter int32 // next edge cell to visit, -1 when exhausted
-	}
+	// built. A node is on the stack while its low link is non-negative;
+	// popping its component stores the component's size there, negated.
 	for root := int32(0); root < int32(n); root++ {
 		if index[root] != -1 {
 			continue
 		}
-		frames := []frame{{v: root, iter: c.nodes[root].edge}}
+		frames = append(frames[:0], frame{v: root, iter: c.nodes[root].edge})
 		index[root] = counter
 		low[root] = counter
 		counter++
 		stack = append(stack, root)
-		onStack[root] = true
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			if f.iter != -1 {
@@ -376,12 +485,9 @@ func (c *Checker) Violations() []Violation {
 					low[w] = counter
 					counter++
 					stack = append(stack, w)
-					onStack[w] = true
 					frames = append(frames, frame{v: w, iter: c.nodes[w].edge})
-				} else if onStack[w] {
-					if index[w] < low[f.v] {
-						low[f.v] = index[w]
-					}
+				} else if low[w] >= 0 && index[w] < low[f.v] {
+					low[f.v] = index[w]
 				}
 				continue
 			}
@@ -394,21 +500,19 @@ func (c *Checker) Violations() []Violation {
 				}
 			}
 			if low[v] == index[v] {
-				id := int32(len(sccSize))
-				sccSize = append(sccSize, 0)
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					sccID[w] = id
-					sccSize[id]++
-					if w == v {
-						break
-					}
+				k := len(stack) - 1
+				for stack[k] != v {
+					k--
 				}
+				size := int32(len(stack) - k)
+				for _, w := range stack[k:] {
+					low[w] = -size
+				}
+				stack = stack[:k]
 			}
 		}
 	}
+	c.stack, c.frames = stack, frames
 
 	var out []Violation
 	for i := range c.nodes {
@@ -418,7 +522,7 @@ func (c *Checker) Violations() []Violation {
 		}
 		// Self-edges cannot exist (addEdge drops them), so a cycle means a
 		// non-trivial SCC.
-		if sz := sccSize[sccID[i]]; sz > 1 {
+		if sz := -low[i]; sz > 1 {
 			out = append(out, Violation{Tid: nd.tid, Start: nd.start, CycleLen: int(sz)})
 		}
 	}
@@ -431,14 +535,16 @@ func (c *Checker) Blocks() int { return c.blocks }
 // Events returns the number of events processed.
 func (c *Checker) Events() int { return c.events }
 
-// Analyze runs a fresh checker over a complete trace and returns its
-// violations.
+// Analyze runs a checker over a complete trace and returns its
+// violations. The checker is borrowed and released (Borrow), so analyzing
+// one trace after another reuses its storage.
 func Analyze(tr *trace.Trace, opts Options) []Violation {
-	c := New(opts)
+	c := Borrow(opts)
 	for _, e := range tr.Events {
 		c.Event(e)
 	}
 	out := c.Violations()
 	c.FlushMetrics(len(out))
+	c.Release()
 	return out
 }
